@@ -99,25 +99,9 @@ def _emit(text: str) -> None:
 # subcommands
 
 
-def cmd_cg(ns: argparse.Namespace) -> int:
-    args = CgArgs(
-        parse_halfint(ns.j1),
-        parse_halfint(ns.m1),
-        parse_halfint(ns.j2),
-        parse_halfint(ns.m2),
-        parse_halfint(ns.j),
-        parse_halfint(ns.m),
-    )
-    value = cg(args)
-    if ns.format == "plain":
-        _emit(f"{value} ~= {value.approx()}")
-    else:
-        _emit(json.dumps(_surd_json(value)))
-    return 0
-
-
-def cmd_threej(ns: argparse.Namespace) -> int:
-    value = three_j(
+def cmd_coefficient(ns: argparse.Namespace) -> int:
+    """cg and threej; each subparser sets ``evaluate`` to its six-argument evaluator."""
+    value = ns.evaluate(
         parse_halfint(ns.j1),
         parse_halfint(ns.m1),
         parse_halfint(ns.j2),
@@ -386,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cg", help="one Clebsch-Gordan coefficient, exactly")
     _add_cg_like(p)
-    p.set_defaults(handler=cmd_cg)
+    p.set_defaults(handler=cmd_coefficient, evaluate=lambda *q: cg(CgArgs(*q)))
 
     p = subs.add_parser("threej", help="one Wigner 3j symbol, exactly")
     _add_cg_like(p)
-    p.set_defaults(handler=cmd_threej)
+    p.set_defaults(handler=cmd_coefficient, evaluate=three_j)
 
     p = subs.add_parser("regge-audit", help="audit the 12 Regge orbit transforms")
     for flag in ("--a", "--alpha", "--b", "--beta", "--c", "--gamma"):

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
-from .numerics import DomainError, GaussianRational, HalfInt
+from .numerics import DomainError, GaussianRational, HalfInt, SparseSum
 
 _EPSILON = {
     (1, 2, 3): 1,
@@ -52,69 +52,10 @@ class LieBasisElement:
         return f"{self.family}[{self.particle},{self.axis}]"
 
 
-class LieExpression:
+class LieExpression(SparseSum):
     """Finite Gaussian-rational combination of basis elements."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[LieBasisElement, Union[GaussianRational, Fraction, int]] | None = None) -> None:
-        clean: dict[LieBasisElement, GaussianRational] = {}
-        for b, c in (terms or {}).items():
-            c = GaussianRational.coerce(c)
-            if not c.is_zero:
-                clean[b] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> LieExpression:
-        return cls()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> tuple[tuple[LieBasisElement, GaussianRational], ...]:
-        return tuple(sorted(self._terms.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieExpression):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: LieExpression) -> LieExpression:
-        merged = dict(self._terms)
-        for b, c in other._terms.items():
-            s = merged.get(b)
-            total = c if s is None else s + c
-            if total.is_zero:
-                merged.pop(b, None)
-            else:
-                merged[b] = total
-        out = object.__new__(LieExpression)
-        out._terms = merged
-        return out
-
-    def __neg__(self) -> LieExpression:
-        out = object.__new__(LieExpression)
-        out._terms = {b: -c for b, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: LieExpression) -> LieExpression:
-        return self + (-other)
-
-    def scaled(self, factor: Union[GaussianRational, Fraction, int]) -> LieExpression:
-        factor = GaussianRational.coerce(factor)
-        if factor.is_zero:
-            return LieExpression.zero()
-        out = object.__new__(LieExpression)
-        out._terms = {b: c * factor for b, c in self._terms.items()}
-        return out
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LieExpression(0)"
-        parts = [f"({c})*{b}" for b, c in self.items()]
-        return "LieExpression(" + " + ".join(parts) + ")"
+    __slots__ = ()
 
 
 def basis_commutator(x: LieBasisElement, y: LieBasisElement) -> LieExpression:
@@ -297,8 +238,13 @@ def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel
         raise DomainError("need at least one particle")
     if j_cut.twice < 0:
         raise DomainError(f"cutoff must be nonnegative, got {j_cut}")
-    if z * (j_cut.twice + 1) > 10**6:
-        raise DomainError("spectrum request exceeds the enumeration guard")
+    # count the entries built, z per level times (2jcut+1)**z levels, one
+    # factor at a time so a huge request stops before forming the power
+    levels = 1
+    for _ in range(z):
+        levels *= j_cut.twice + 1
+        if z * levels > 10**6:
+            raise DomainError("spectrum request exceeds the enumeration guard")
     values = [HalfInt(t) for t in range(0, j_cut.twice + 1)]
     levels = []
     for js in itertools.product(values, repeat=z):

@@ -2,7 +2,8 @@
 
 Four value families live here: half-integers stored as twice their value,
 quadratic surds ``sign * sqrt(p/q)``, finite sums of surds with
-Gaussian-rational coefficients, and prime-factorized factorials.  Everything
+Gaussian-rational coefficients (a ``SparseSum``, the combination type that
+kepler's Lie expressions share), and prime-factorized factorials.  Everything
 is immutable, exact, and safe to share across threads; floats appear only in
 the explicitly approximate conversions.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Hashable, Iterator, Mapping, Union
 
 
 class DomainError(ValueError):
@@ -324,37 +325,124 @@ def _is_squarefree(n: int) -> bool:
 
 ScalarLike = Union["GaussianRational", Fraction, int]
 
+_new = object.__new__
 
-class PhasedSurdSum:
-    """Finite exact sum over squarefree r >= 1 of c_r * sqrt(r).
 
-    Coefficients c_r are Gaussian rationals, so the ring is closed under
-    products, sums, and multiplication by integer powers of i.  The empty
-    sum is the canonical exact zero.
+class SparseSum:
+    """Finite sum of basis keys with nonzero Gaussian-rational coefficients.
+
+    The additive arithmetic shared by surd sums and Lie expressions: the
+    empty sum is the canonical exact zero, and every result drops the keys
+    whose coefficients cancel.  Subclasses choose which keys are allowed
+    (``_check_key``) and how a key prints (``_key_format``).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, ScalarLike] | None = None) -> None:
-        clean: dict[int, GaussianRational] = {}
-        for r, c in (terms or {}).items():
-            if not _is_squarefree(r):
-                raise DomainError(f"key {r} is not a squarefree positive integer")
+    _key_format = "{}"
+
+    def __init__(self, terms: Mapping[Hashable, ScalarLike] | None = None) -> None:
+        clean: dict[Hashable, GaussianRational] = {}
+        for key, c in (terms or {}).items():
+            self._check_key(key)
             c = GaussianRational.coerce(c)
             if not c.is_zero:
-                clean[r] = c
+                clean[key] = c
         self._terms = clean
 
+    @staticmethod
+    def _check_key(key: Hashable) -> None:
+        """Raise DomainError for a key outside the basis; any key is allowed here."""
+
     @classmethod
-    def _raw(cls, terms: dict[int, GaussianRational]) -> PhasedSurdSum:
-        # trusted constructor: keys squarefree, no zero coefficients
-        out = object.__new__(cls)
+    def _raw(cls, terms: dict) -> SparseSum:
+        # trusted constructor: keys valid, no zero coefficients
+        out = _new(cls)
         out._terms = terms
         return out
 
     @classmethod
-    def zero(cls) -> PhasedSurdSum:
+    def zero(cls) -> SparseSum:
         return cls._raw({})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self) -> tuple[tuple[Hashable, GaussianRational], ...]:
+        return tuple(sorted(self._terms.items()))
+
+    def coefficient(self, key: Hashable) -> GaussianRational:
+        return self._terms.get(key, GaussianRational.zero())
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(self.items())
+
+    def __add__(self, other: SparseSum) -> SparseSum:
+        merged = dict(self._terms)
+        for key, c in other._terms.items():
+            s = merged.get(key)
+            total = c if s is None else s + c
+            if total.is_zero:
+                merged.pop(key, None)
+            else:
+                merged[key] = total
+        # _raw inlined: this sits on the audit hot path
+        out = _new(type(self))
+        out._terms = merged
+        return out
+
+    def __neg__(self) -> SparseSum:
+        return self._raw({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other: SparseSum) -> SparseSum:
+        return self + (-other)
+
+    def scaled(self, factor: ScalarLike) -> SparseSum:
+        factor = GaussianRational.coerce(factor)
+        if factor.is_zero:
+            return self.zero()
+        return self._raw({key: c * factor for key, c in self._terms.items()})
+
+    def times_i_pow(self, k: int) -> SparseSum:
+        if k % 4 == 0:
+            return self
+        return self._raw({key: c.times_i_pow(k) for key, c in self._terms.items()})
+
+    def conjugate(self) -> SparseSum:
+        return self._raw({key: c.conjugate() for key, c in self._terms.items()})
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self._terms:
+            return f"{name}(0)"
+        parts = [f"({c})*" + self._key_format.format(key) for key, c in self.items()]
+        return f"{name}(" + " + ".join(parts) + ")"
+
+
+class PhasedSurdSum(SparseSum):
+    """Finite exact sum over squarefree r >= 1 of c_r * sqrt(r).
+
+    Coefficients c_r are Gaussian rationals, so the ring is closed under
+    products, sums, and multiplication by integer powers of i.
+    """
+
+    __slots__ = ()
+
+    _key_format = "sqrt({})"
+
+    @staticmethod
+    def _check_key(r: int) -> None:
+        if not _is_squarefree(r):
+            raise DomainError(f"key {r} is not a squarefree positive integer")
 
     @classmethod
     def from_rational(cls, q: Union[Fraction, int]) -> PhasedSurdSum:
@@ -364,50 +452,9 @@ class PhasedSurdSum:
     def from_surd(cls, s: Surd) -> PhasedSurdSum:
         return s.to_sum()
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> tuple[tuple[int, GaussianRational], ...]:
-        return tuple(sorted(self._terms.items()))
-
-    def coefficient(self, r: int) -> GaussianRational:
-        return self._terms.get(r, GaussianRational.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhasedSurdSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self.items())
-
-    def __add__(self, other: PhasedSurdSum) -> PhasedSurdSum:
-        merged = dict(self._terms)
-        for r, c in other._terms.items():
-            s = merged.get(r)
-            total = c if s is None else s + c
-            if total.is_zero:
-                merged.pop(r, None)
-            else:
-                merged[r] = total
-        return PhasedSurdSum._raw(merged)
-
-    def __neg__(self) -> PhasedSurdSum:
-        return PhasedSurdSum._raw({r: -c for r, c in self._terms.items()})
-
-    def __sub__(self, other: PhasedSurdSum) -> PhasedSurdSum:
-        return self + (-other)
-
     def __mul__(self, other: Union[PhasedSurdSum, ScalarLike]) -> PhasedSurdSum:
         if not isinstance(other, PhasedSurdSum):
-            scalar = GaussianRational.coerce(other)
-            if scalar.is_zero:
-                return PhasedSurdSum.zero()
-            return PhasedSurdSum._raw({r: c * scalar for r, c in self._terms.items()})
+            return self.scaled(other)
         out: dict[int, GaussianRational] = {}
         for r1, c1 in self._terms.items():
             for r2, c2 in other._terms.items():
@@ -424,25 +471,11 @@ class PhasedSurdSum:
 
     __rmul__ = __mul__
 
-    def times_i_pow(self, k: int) -> PhasedSurdSum:
-        if k % 4 == 0:
-            return self
-        return PhasedSurdSum._raw({r: c.times_i_pow(k) for r, c in self._terms.items()})
-
-    def conjugate(self) -> PhasedSurdSum:
-        return PhasedSurdSum._raw({r: c.conjugate() for r, c in self._terms.items()})
-
     def approx(self) -> complex:
         total = complex(0)
         for r, c in self._terms.items():
             total += complex(c.re, c.im) * math.sqrt(r)
         return total
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "PhasedSurdSum(0)"
-        parts = [f"({c})*sqrt({r})" for r, c in self.items()]
-        return "PhasedSurdSum(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,73 @@
+"""Golden stdout: SHA-256 of the CLI output for a fixed set of argv.
+
+The digests were recorded before the shared sparse-sum refactor; any change
+to what these commands print, byte for byte, fails here.  Everything runs
+in-process and takes well under a second.
+"""
+
+import hashlib
+
+import pytest
+
+from jcouple.cli import main
+
+CG = ("--j1", "3/2", "--m1", "1/2", "--j2", "1", "--m2", "-1", "--j", "3/2", "--m", "-1/2")
+
+GOLDEN = [
+    (("cg", *CG), "03e635582e74661916f30f6b0b116a06f697841ae35733a7c338d42c3b0999d8"),
+    (("cg", *CG, "--format", "plain"), "aa75e0e256691014804a4d8879ab09044979546b6b039acd3d686e38aed5fcfe"),
+    (("threej", *CG), "9dbe9a5cb694ed18ae8e9f1fc7fc1695cfe62a7bd0cb20dbdf78c2ca08d740b0"),
+    (("threej", *CG, "--format", "plain"), "9b7e1c213e3f54ab5f28472f23d8c0c4a22f6e04088a0aa3ce025c4b50c62332"),
+    (
+        ("couple", "--js", "1/2,1,3/2", "--intermediates", "3/2", "--j", "2", "--m", "1"),
+        "8c3b425077ea54622c4b0507affd6bbbde573701cab107e67843ef1a045a4b5d",
+    ),
+    (
+        ("verify", "--prop", "univalence", "--grid", "n=3,jmax=1"),
+        "b0bb1e0b7c27dba3e9f30fe568ee50a44c3c761066ce475d0ab8600d037ec012",
+    ),
+    (
+        ("verify", "--prop", "compat", "--grid", "n=3,jmax=1"),
+        "214aca50f58a36e0fe0d6d130de20c09c0dac4854485de29b17521c6e80ef1e0",
+    ),
+    (
+        ("verify", "--prop", "first-sym", "--grid", "n=3,jmax=1"),
+        "f3a6f66abf3ddeae36d8e240c5bf8d300c0308909bd19edae81bdc8490243b8a",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=3,jmax=1"),
+        "81ce3163d9ea570e591790b43b0a30e640807c2c108c6057085589d313700791",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=3,jmax=1", "--interpretation", "same-state"),
+        "5191bc6075ab5c7c8f3ec6a1e5f0a4cdaae6ebebb05c84b3252a31342420140c",
+    ),
+    (
+        ("verify", "--prop", "kramers", "--grid", "n=3,jmax=1"),
+        "6fbb196d640408d8a3341ebe793c2aa28385102cbc94733fd79b9e099fd9e7d5",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "1", "--stats", "fermion"),
+        "a1fc1e0e7ac11d7874851bd5df43685a4299b3474b8c1de25ca0931d76a9996b",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "1", "--stats", "boson", "--format", "csv"),
+        "59df7ba1fe1e2f88158d18bdd09a800427d415f9f022c30e1e5f75b2c93730fe",
+    ),
+]
+
+
+IDS = [
+    "cg-json", "cg-plain", "threej-json", "threej-plain", "couple",
+    "verify-univalence", "verify-compat", "verify-first-sym",
+    "verify-second-sym-paper-literal", "verify-second-sym-same-state", "verify-kramers",
+    "kepler-json", "kepler-csv",
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=IDS)
+def test_stdout_digest(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,13 @@ class TestSpectrum:
     def test_guard(self):
         with pytest.raises(DomainError):
             spectrum(1, HalfInt(2 * 10**6), Statistics.BOSON0)
+
+    def test_guard_counts_levels_built(self):
+        # 20 * 2**20 entries; a guard on z * (2jcut+1) = 40 would build 1M levels
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="enumeration guard"):
+            spectrum(20, H("1/2"), Statistics.BOSON0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestKramers:

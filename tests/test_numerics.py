@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jcouple.kepler import LieBasisElement, LieExpression
 from jcouple.numerics import (
     DomainError,
     GaussianRational,
@@ -181,20 +182,26 @@ def _gauss(re_n, re_d, im_n, im_d):
     return GaussianRational(Fraction(re_n, re_d), Fraction(im_n, im_d))
 
 
-_sums = st.builds(
-    lambda pairs: PhasedSurdSum(
-        {r: _gauss(a, b, c, d) for r, (a, b, c, d) in pairs.items()}
-    ),
-    st.dictionaries(
-        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15]),
-        st.tuples(
-            st.integers(-6, 6),
-            st.integers(1, 5),
-            st.integers(-6, 6),
-            st.integers(1, 5),
+def _sums_over(cls, keys):
+    return st.builds(
+        lambda pairs: cls({k: _gauss(a, b, c, d) for k, (a, b, c, d) in pairs.items()}),
+        st.dictionaries(
+            st.sampled_from(keys),
+            st.tuples(
+                st.integers(-6, 6),
+                st.integers(1, 5),
+                st.integers(-6, 6),
+                st.integers(1, 5),
+            ),
+            max_size=4,
         ),
-        max_size=4,
-    ),
+    )
+
+
+_sums = _sums_over(PhasedSurdSum, [1, 2, 3, 5, 6, 7, 10, 15])
+# the same additive laws over the other SparseSum, with Lie-algebra basis keys
+_lie_sums = _sums_over(
+    LieExpression, [LieBasisElement(f, p, a) for f in "LM" for p in (1, 2) for a in (1, 2, 3)]
 )
 
 
@@ -206,8 +213,9 @@ class TestPhasedSurdSum:
     def test_zero_is_empty(self):
         assert PhasedSurdSum({2: Fraction(0)}).is_zero
 
-    @given(_sums, _sums, _sums)
-    def test_addition_associative(self, x, y, z):
+    @given(st.sampled_from([_sums, _lie_sums]).flatmap(lambda s: st.tuples(s, s, s)))
+    def test_addition_associative(self, xyz):
+        x, y, z = xyz
         assert (x + y) + z == x + (y + z)
 
     @given(_sums, _sums, _sums)
