@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -19,6 +20,8 @@ from typing import Iterator, Sequence
 
 from .coupling import (
     CouplingChain,
+    count_coupling_trees,
+    coupling_tree,
     enumerate_chains,
     enumerate_coupling_trees,
     expand_coupled_state,
@@ -164,20 +167,19 @@ def cmd_couple(ns: argparse.Namespace) -> int:
 
 
 def cmd_schemes(ns: argparse.Namespace) -> int:
-    trees = enumerate_coupling_trees(ns.n, max_leaves=_max_trees())
+    max_leaves = _max_trees()
     if ns.count_only:
-        _emit(str(len(trees)))
+        _emit(str(count_coupling_trees(ns.n, max_leaves=max_leaves)))
     else:
+        trees = enumerate_coupling_trees(ns.n, max_leaves=max_leaves)
         _emit(json.dumps([t.to_nested() for t in trees]))
     return 0
 
 
 def cmd_diagram(ns: argparse.Namespace) -> int:
-    trees = enumerate_coupling_trees(ns.n, max_leaves=_max_trees())
-    if not 0 <= ns.scheme < len(trees):
-        raise DomainError(f"scheme index {ns.scheme} out of range 0..{len(trees) - 1}")
+    tree = coupling_tree(ns.n, ns.scheme, max_leaves=_max_trees())
     labels = ns.labels.split(",") if ns.labels else [str(i) for i in range(1, ns.n + 1)]
-    _emit(export_dot(trees[ns.scheme], labels))
+    _emit(export_dot(tree, labels))
     return 0
 
 
@@ -438,8 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _shared_parser().parse_args(argv)
     try:
         code = ns.handler(ns)
         sys.stdout.flush()

@@ -2,8 +2,8 @@
 
 The sequential scheme j1+j2=j12, j12+j3=j123, ... gets exact coefficient
 evaluation; arbitrary binary pairing schemes are enumerated structurally
-(leaf-labeled trees with unordered children, (2n-3)!! of them) and exported
-as DOT diagrams.
+(leaf-labeled trees with unordered children, (2n-3)!! of them), counted or
+decoded one at a time from their index, and exported as DOT diagrams.
 """
 
 from __future__ import annotations
@@ -256,8 +256,7 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def enumerate_coupling_trees(n: int, max_leaves: int = 10) -> list[CouplingTree]:
-    """All (2n-3)!! pairing schemes of n labeled momenta, sequential chain first."""
+def _check_guard(n: int, max_leaves: int) -> None:
     if n < 2:
         raise DomainError("coupling needs at least two momenta")
     if n > max_leaves:
@@ -265,10 +264,40 @@ def enumerate_coupling_trees(n: int, max_leaves: int = 10) -> list[CouplingTree]
             f"n={n} exceeds the enumeration guard ({max_leaves}); "
             "raise the guard explicitly to proceed"
         )
+
+
+def count_coupling_trees(n: int, max_leaves: int = 10) -> int:
+    """(2n-3)!!, the number of pairing schemes of n momenta, without building any."""
+    _check_guard(n, max_leaves)
+    return double_factorial(2 * n - 3)
+
+
+def enumerate_coupling_trees(n: int, max_leaves: int = 10) -> list[CouplingTree]:
+    """All (2n-3)!! pairing schemes of n labeled momenta, sequential chain first."""
+    _check_guard(n, max_leaves)
     shapes: list[TreeShape] = [(1, 2)]
     for leaf in range(3, n + 1):
         shapes = [grown for shape in shapes for grown in _insertions(shape, leaf)]
     return [CouplingTree(shape) for shape in shapes]
+
+
+def coupling_tree(n: int, index: int, max_leaves: int = 10) -> CouplingTree:
+    """enumerate_coupling_trees(n)[index], built alone.
+
+    The enumeration order is a mixed-radix number: leaf k has 2k-3 insertion
+    positions and the last leaf is the least significant digit.
+    """
+    count = count_coupling_trees(n, max_leaves)
+    if not 0 <= index < count:
+        raise DomainError(f"scheme index {index} out of range 0..{count - 1}")
+    digits = []
+    for leaf in range(n, 2, -1):
+        index, digit = divmod(index, 2 * leaf - 3)
+        digits.append(digit)
+    shape: TreeShape = (1, 2)
+    for leaf, digit in zip(range(3, n + 1), reversed(digits)):
+        shape = next(itertools.islice(_insertions(shape, leaf), digit, None))
+    return CouplingTree(shape)
 
 
 def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,31 @@ class TestDiagramCommand:
     def test_scheme_index_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "diagram", "--n", "3", "--scheme", "9")
         assert code == 1 and "out of range" in err
+
+
+class TestNoEnumerationCliff:
+    """At the guard (n=10, 34,459,425 schemes), building every tree would take about 11 GB.
+
+    A single diagram and the count need none of them.  The subprocess timeout
+    turns a regression into a failure instead of a memory blow-up.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagram", "--n", "10", "--scheme", "34459424"],
+            ["schemes", "--n", "10", "--count-only"],
+        ],
+        ids=["diagram-last-n10", "count-n10"],
+    )
+    def test_finishes_quickly(self, argv):
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", *argv], capture_output=True, timeout=10
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stdout
+        assert elapsed < 2.0
 
 
 class TestClassifyCommand:

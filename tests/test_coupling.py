@@ -6,6 +6,8 @@ import pytest
 from jcouple.coupling import (
     CouplingChain,
     CouplingTree,
+    count_coupling_trees,
+    coupling_tree,
     double_factorial,
     enumerate_chains,
     enumerate_coupling_trees,
@@ -225,6 +227,40 @@ class TestCouplingTrees:
     def test_bad_labels_rejected(self):
         with pytest.raises(DomainError):
             CouplingTree.from_nested([[1, 2], 4])
+
+
+class TestCouplingTreeIndex:
+    def test_decodes_every_index(self):
+        for n in range(2, 8):
+            trees = enumerate_coupling_trees(n)
+            assert [coupling_tree(n, k) for k in range(len(trees))] == trees
+
+    def test_decodes_strided_indices_n8(self):
+        trees = enumerate_coupling_trees(8)
+        assert count_coupling_trees(8) == len(trees)
+        for k in [*range(0, len(trees), 997), len(trees) - 1]:
+            assert coupling_tree(8, k) == trees[k]
+
+    def test_count_matches_enumeration(self):
+        for n in range(2, 8):
+            assert count_coupling_trees(n) == len(enumerate_coupling_trees(n))
+
+    def test_guard(self):
+        for bad in (
+            lambda: coupling_tree(1, 0),
+            lambda: coupling_tree(11, 0),
+            lambda: coupling_tree(5, 0, max_leaves=4),
+            lambda: count_coupling_trees(1),
+            lambda: count_coupling_trees(11),
+            lambda: count_coupling_trees(5, max_leaves=4),
+        ):
+            with pytest.raises(DomainError, match="at least two momenta|enumeration guard"):
+                bad()
+
+    def test_index_out_of_range(self):
+        for n, k in ((2, 1), (3, -1), (3, 3), (8, 135135)):
+            with pytest.raises(DomainError, match=f"scheme index {k} out of range"):
+                coupling_tree(n, k)
 
 
 class TestExportDot:

@@ -1,8 +1,9 @@
 """Golden stdout: SHA-256 of the CLI output for a fixed set of argv.
 
-The digests were recorded before the shared sparse-sum refactor; any change
-to what these commands print, byte for byte, fails here.  Everything runs
-in-process and takes well under a second.
+The digests were recorded before the shared sparse-sum refactor, and the
+scheme and diagram digests and error messages before scheme indices were
+decoded directly; any change to what these commands print, byte for byte,
+fails here.  Everything runs in-process and takes well under a second.
 """
 
 import hashlib
@@ -54,6 +55,19 @@ GOLDEN = [
         ("kepler", "--z", "2", "--jcut", "1", "--stats", "boson", "--format", "csv"),
         "59df7ba1fe1e2f88158d18bdd09a800427d415f9f022c30e1e5f75b2c93730fe",
     ),
+    (("schemes", "--n", "5"), "ad9d9cca2b8d45af16101e8c29c7355160ee58a1c9af69714f70101024622a53"),
+    (
+        ("schemes", "--n", "5", "--count-only"),
+        "2fcae9c346ff9530cd3b7303a6456e3a296ff1876b18b50c324343638ec2bdf3",
+    ),
+    (
+        ("diagram", "--n", "6", "--scheme", "104", "--labels", "a,b,c,d,e,f"),
+        "ff29c8e3d22d870da9c079495102c1ccc369849163746213cb3707a762acc159",
+    ),
+    (
+        ("diagram", "--n", "8", "--scheme", "135134"),
+        "966f6dfd01538411633532b062f91300fba47d0af2c98a0aeda6fcb5cb52df7e",
+    ),
 ]
 
 
@@ -62,6 +76,30 @@ IDS = [
     "verify-univalence", "verify-compat", "verify-first-sym",
     "verify-second-sym-paper-literal", "verify-second-sym-same-state", "verify-kramers",
     "kepler-json", "kepler-csv",
+    "schemes-n5", "schemes-n5-count", "diagram-n6-labels", "diagram-n8-last",
+]
+
+GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
+
+# (JCOUPLE_MAX_TREES or None, argv, exact stderr); every case exits with code 1
+GOLDEN_ERRORS = [
+    (None, ("diagram", "--n", "3", "--scheme", "9"), "error: scheme index 9 out of range 0..2\n"),
+    (None, ("diagram", "--n", "3", "--scheme", "-1"), "error: scheme index -1 out of range 0..2\n"),
+    (None, ("diagram", "--n", "2", "--scheme", "1"), "error: scheme index 1 out of range 0..0\n"),
+    (None, ("diagram", "--n", "3", "--labels", "a,b"), "error: expected 3 labels, got 2\n"),
+    (None, ("diagram", "--n", "11"), f"error: n=11 {GUARD.format(10)}\n"),
+    (None, ("diagram", "--n", "1"), "error: coupling needs at least two momenta\n"),
+    (None, ("schemes", "--n", "11", "--count-only"), f"error: n=11 {GUARD.format(10)}\n"),
+    (None, ("schemes", "--n", "1"), "error: coupling needs at least two momenta\n"),
+    (None, ("schemes", "--n", "0", "--count-only"), "error: coupling needs at least two momenta\n"),
+    ("4", ("schemes", "--n", "5", "--count-only"), f"error: n=5 {GUARD.format(4)}\n"),
+    ("4", ("diagram", "--n", "5"), f"error: n=5 {GUARD.format(4)}\n"),
+    ("many", ("diagram", "--n", "3"), "error: JCOUPLE_MAX_TREES must be an integer, got 'many'\n"),
+    (
+        "many",
+        ("schemes", "--n", "3", "--count-only"),
+        "error: JCOUPLE_MAX_TREES must be an integer, got 'many'\n",
+    ),
 ]
 
 
@@ -71,3 +109,15 @@ def test_stdout_digest(capsys, argv, digest):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_trees, argv, stderr", GOLDEN_ERRORS)
+def test_error_message(capsys, monkeypatch, max_trees, argv, stderr):
+    if max_trees is None:
+        monkeypatch.delenv("JCOUPLE_MAX_TREES", raising=False)
+    else:
+        monkeypatch.setenv("JCOUPLE_MAX_TREES", max_trees)
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == stderr
