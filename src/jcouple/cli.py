@@ -172,7 +172,7 @@ def cmd_schemes(ns: argparse.Namespace) -> int:
         _emit(str(count_coupling_trees(ns.n, max_leaves=max_leaves)))
     else:
         trees = enumerate_coupling_trees(ns.n, max_leaves=max_leaves)
-        _emit(json.dumps([t.to_nested() for t in trees]))
+        _emit(json.dumps([t.shape for t in trees]))
     return 0
 
 
@@ -295,6 +295,11 @@ def _verify_records(ns: argparse.Namespace) -> Iterator[dict]:
                     "verdict": "agree" if claimed == actual else "diverge",
                 }
         return
+    if ns.prop == "second-sym":
+        overlap = functools.partial(audit_second_symmetry, interpretation=ns.interpretation)
+        extra = {"interpretation": ns.interpretation}
+    else:
+        overlap, extra = kramers_overlap, {}
     for js in _js_tuples(n, top):
         for chain in enumerate_chains(js):
             base = chain.to_json_dict()
@@ -311,24 +316,11 @@ def _verify_records(ns: argparse.Namespace) -> Iterator[dict]:
                         "actual": audit.ratio,
                         "verdict": audit.verdict,
                     }
-            elif ns.prop == "second-sym":
-                if not chain.total_j.is_half_odd:
-                    continue
+            elif chain.total_j.is_half_odd:  # second-sym, kramers
                 for m in projection_range(chain.total_j):
-                    value = audit_second_symmetry(chain, m, ns.interpretation)
+                    value = overlap(chain, m)
                     yield {
-                        "input": dict(base, m=str(m), interpretation=ns.interpretation),
-                        "claimed": "0",
-                        "actual": _sum_json(value),
-                        "verdict": "agree" if value.is_zero else "diverge",
-                    }
-            elif ns.prop == "kramers":
-                if not chain.total_j.is_half_odd:
-                    continue
-                for m in projection_range(chain.total_j):
-                    value = kramers_overlap(chain, m)
-                    yield {
-                        "input": dict(base, m=str(m)),
+                        "input": dict(base, m=str(m), **extra),
                         "claimed": "0",
                         "actual": _sum_json(value),
                         "verdict": "agree" if value.is_zero else "diverge",

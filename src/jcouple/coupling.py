@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .numerics import DomainError, HalfInt, Surd, projection_range
+from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, projection_range
 from .wigner import CgArgs, allowed_j, cg
 
 TreeShape = Union[int, tuple]
@@ -128,8 +128,7 @@ def generalized_coupling_coefficient(
     if len(ms) != chain.n:
         raise DomainError(f"expected {chain.n} projections, got {len(ms)}")
     for j, m in zip(chain.js, ms):
-        if abs(m.twice) > j.twice or (j.twice + m.twice) % 2:
-            raise DomainError(f"projection {m} invalid for momentum {j}")
+        check_momentum_pair(j, m, "(j_k, m_k)")
     if sum(m.twice for m in ms) != total_m.twice:
         return Surd.zero()
     partials = chain.partial_totals()
@@ -161,8 +160,7 @@ class StateExpansion:
 
 def expand_coupled_state(chain: CouplingChain, total_m: HalfInt) -> StateExpansion:
     """All nonzero amplitudes over projection tuples with sum(ms) = total_m."""
-    if abs(total_m.twice) > chain.total_j.twice or (total_m.twice + chain.total_j.twice) % 2:
-        raise DomainError(f"projection {total_m} invalid for total momentum {chain.total_j}")
+    check_momentum_pair(chain.total_j, total_m, "total (j, m)")
     amplitudes: dict[tuple[HalfInt, ...], Surd] = {}
     ranges = [list(projection_range(j)) for j in chain.js]
     for ms in itertools.product(*ranges):
@@ -304,6 +302,12 @@ def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:
     """Deterministic DOT digraph; one box per pairing vertex, labels j...m... per edge."""
     if len(j_labels) != tree.n:
         raise DomainError(f"expected {tree.n} labels, got {len(j_labels)}")
+    for label in j_labels:
+        # labels land inside DOT quoted strings, which these would end or escape
+        if '"' in label or "\\" in label or "".join(label.splitlines()) != label:
+            raise DomainError(
+                f"label {label!r} may not contain a double quote, a backslash or a line break"
+            )
     label_of = dict(zip(sorted(tree.leaves()), j_labels))
     boxes: list[str] = []
     edges: list[tuple[str, str, str]] = []

@@ -133,6 +133,16 @@ def projection_range(j: HalfInt) -> Iterator[HalfInt]:
         yield HalfInt(t)
 
 
+def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
+    """The one (j, m) validity rule: j >= 0, |m| <= j, and j - m integral."""
+    if j.twice < 0:
+        raise DomainError(f"{name}: momentum must be nonnegative, got {j}")
+    if abs(m.twice) > j.twice:
+        raise DomainError(f"{name}: |m|={abs(m)} exceeds j={j}")
+    if (j.twice + m.twice) % 2:
+        raise DomainError(f"{name}: m={m} not reachable from -j={-j} in unit steps")
+
+
 # ---------------------------------------------------------------------------
 # quadratic surds
 

@@ -9,7 +9,6 @@ claimed identities, since exact evaluation is the whole point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -21,7 +20,7 @@ from .coupling import (
     jmax,
     jmin,
 )
-from .numerics import DomainError, HalfInt, PhasedSurdSum, Surd, projection_range
+from .numerics import DomainError, HalfInt, PhasedSurdSum, Surd
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,20 @@ def audit_first_symmetry(
     return FirstSymmetryAudit(lhs, rhs, lhs.sign * rhs.sign)
 
 
+def _flip_overlap(ket: StateExpansion, partner: StateExpansion, k: int) -> PhasedSurdSum:
+    """i^k * sum over ms of ket(ms) * partner(-ms); tuples -ms missing from partner add nothing.
+
+    The phase is the same for every term (each tuple in a support sums to
+    its state's total m), so it is applied once to the sum.
+    """
+    acc = PhasedSurdSum.zero()
+    for ms, amp in ket.amplitudes.items():
+        other = partner.amplitudes.get(tuple(-m for m in ms))
+        if other is not None:
+            acc = acc + (amp * other).to_sum()
+    return acc.times_i_pow(k)
+
+
 Interpretation = Literal["paper-literal", "same-state"]
 
 
@@ -156,42 +169,28 @@ def audit_second_symmetry(
 ) -> PhasedSurdSum:
     """The phased double-product sum over all projections, for half-odd total j.
 
-    Under "same-state" the second coefficient chain carries the upper
-    projection +m (the reading forced by the only-nonzero-addends step), and
-    the sum is zero term by term.  Under "paper-literal" it carries -m as
-    printed, and the value is reported as computed.
+    Sums C(ms; m) * C(-ms; m') * i^(-2m) over ms.  Under "same-state" the
+    second coefficient chain carries the upper projection m' = +m (the
+    reading forced by the only-nonzero-addends step), and the sum is zero
+    term by term.  Under "paper-literal" it carries m' = -m as printed, and
+    the value is reported as computed.
     """
     if interpretation not in ("paper-literal", "same-state"):
         raise DomainError(f"unknown interpretation {interpretation!r}")
     if not chain.total_j.is_half_odd:
         raise DomainError(f"total momentum {chain.total_j} is not half-odd")
-    if abs(total_m.twice) > chain.total_j.twice or (total_m.twice + chain.total_j.twice) % 2:
-        raise DomainError(f"projection {total_m} invalid for total {chain.total_j}")
-    second_total = -total_m if interpretation == "paper-literal" else total_m
-    acc = PhasedSurdSum.zero()
-    for ms in itertools.product(*(list(projection_range(j)) for j in chain.js)):
-        first = generalized_coupling_coefficient(chain, ms, total_m)
-        if first.is_zero:
-            continue
-        second = generalized_coupling_coefficient(chain, [-m for m in ms], second_total)
-        if second.is_zero:
-            continue
-        term = (first * second).to_sum().times_i_pow(-sum(m.twice for m in ms))
-        acc = acc + term
-    return acc
+    ket = expand_coupled_state(chain, total_m)
+    partner = expand_coupled_state(chain, -total_m) if interpretation == "paper-literal" else ket
+    return _flip_overlap(ket, partner, -total_m.twice)
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     """<psi|T psi> contracted entirely in the product basis.
 
-    Whenever the coupled univalence is -1 (half-odd total j) the supports of
-    psi and T psi are disjoint projection tuples and the sum is exactly empty.
+    T psi has amplitude i^(2m) psi(ms) on -ms, and the amplitudes are real,
+    so the overlap is i^(2m) * sum over ms of psi(-ms) * psi(ms).  Whenever
+    the coupled univalence is -1 (half-odd total j) the supports of psi and
+    T psi are disjoint projection tuples and the sum is exactly empty.
     """
     expansion = expand_coupled_state(chain, total_m)
-    acc = PhasedSurdSum.zero()
-    for term in apply_time_reversal(expansion):
-        bra_amp = expansion.amplitudes.get(term.projections)
-        if bra_amp is None:
-            continue
-        acc = acc + (bra_amp * term.magnitude).to_sum().times_i_pow(term.phase.k)
-    return acc
+    return _flip_overlap(expansion, expansion, total_m.twice)

@@ -17,18 +17,10 @@ from .numerics import (
     DomainError,
     HalfInt,
     Surd,
+    check_momentum_pair,
     factorial_factorized,
     halfint_range,
 )
-
-
-def _check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
-    if j.twice < 0:
-        raise DomainError(f"{name}: momentum must be nonnegative, got {j}")
-    if abs(m.twice) > j.twice:
-        raise DomainError(f"{name}: |m|={abs(m)} exceeds j={j}")
-    if (j.twice + m.twice) % 2:
-        raise DomainError(f"{name}: m={m} not reachable from -j={-j} in unit steps")
 
 
 @dataclass(frozen=True)
@@ -43,9 +35,9 @@ class CgArgs:
     m: HalfInt
 
     def __post_init__(self) -> None:
-        _check_momentum_pair(self.j1, self.m1, "(j1, m1)")
-        _check_momentum_pair(self.j2, self.m2, "(j2, m2)")
-        _check_momentum_pair(self.j, self.m, "(j, m)")
+        check_momentum_pair(self.j1, self.m1, "(j1, m1)")
+        check_momentum_pair(self.j2, self.m2, "(j2, m2)")
+        check_momentum_pair(self.j, self.m, "(j, m)")
 
     def twices(self) -> tuple[int, int, int, int, int, int]:
         return (
@@ -140,8 +132,8 @@ def cg(args: CgArgs) -> Surd:
 
 def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> Fraction:
     """Sum over all total (j, m) of |C|^2; equals 1 exactly."""
-    _check_momentum_pair(j1, m1, "(j1, m1)")
-    _check_momentum_pair(j2, m2, "(j2, m2)")
+    check_momentum_pair(j1, m1, "(j1, m1)")
+    check_momentum_pair(j2, m2, "(j2, m2)")
     total = Fraction(0)
     for j in allowed_j(j1, j2):
         for tm in range(-j.twice, j.twice + 1, 2):
@@ -206,9 +198,9 @@ def regge_symbol(
     a: HalfInt, alpha: HalfInt, b: HalfInt, beta: HalfInt, c: HalfInt, gamma: HalfInt
 ) -> RSymbol:
     """Magic square of (a b c; alpha beta gamma); rejects non-triangle input."""
-    _check_momentum_pair(a, alpha, "(a, alpha)")
-    _check_momentum_pair(b, beta, "(b, beta)")
-    _check_momentum_pair(c, gamma, "(c, gamma)")
+    check_momentum_pair(a, alpha, "(a, alpha)")
+    check_momentum_pair(b, beta, "(b, beta)")
+    check_momentum_pair(c, gamma, "(c, gamma)")
     if (alpha + beta + gamma).twice != 0:
         raise DomainError("projections must sum to zero")
     first = (-a + b + c, a - b + c, a + b - c)

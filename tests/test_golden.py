@@ -3,7 +3,9 @@
 The digests were recorded before the shared sparse-sum refactor, and the
 scheme and diagram digests and error messages before scheme indices were
 decoded directly; any change to what these commands print, byte for byte,
-fails here.  Everything runs in-process and takes well under a second.
+fails here.  The unsafe-label and total-projection error messages pin the
+wording of the DOT label check and of the shared (j, m) validity rule.
+Everything runs in-process and takes well under a second.
 """
 
 import hashlib
@@ -80,6 +82,7 @@ IDS = [
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
+LABEL = "may not contain a double quote, a backslash or a line break"
 
 # (JCOUPLE_MAX_TREES or None, argv, exact stderr); every case exits with code 1
 GOLDEN_ERRORS = [
@@ -99,6 +102,25 @@ GOLDEN_ERRORS = [
         "many",
         ("schemes", "--n", "3", "--count-only"),
         "error: JCOUPLE_MAX_TREES must be an integer, got 'many'\n",
+    ),
+    (None, ("diagram", "--n", "2", "--labels", 'a"b,c'), f"error: label 'a\"b' {LABEL}\n"),
+    (None, ("diagram", "--n", "2", "--labels", "a,b\\c"), f"error: label 'b\\\\c' {LABEL}\n"),
+    (None, ("diagram", "--n", "2", "--labels", "a\nb,c"), f"error: label 'a\\nb' {LABEL}\n"),
+    (None, ("diagram", "--n", "2", "--labels", "a,b\r\n"), f"error: label 'b\\r\\n' {LABEL}\n"),
+    (
+        None,
+        ("diagram", "--n", "2", "--labels", "a\u2028b,c"),
+        f"error: label 'a\\u2028b' {LABEL}\n",
+    ),
+    (
+        None,
+        ("couple", "--js", "1,1", "--j", "2", "--m", "3"),
+        "error: total (j, m): |m|=3 exceeds j=2\n",
+    ),
+    (
+        None,
+        ("couple", "--js", "1,1", "--j", "2", "--m", "1/2"),
+        "error: total (j, m): m=1/2 not reachable from -j=-2 in unit steps\n",
     ),
 ]
 

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from jcouple.coupling import CouplingChain, enumerate_chains, expand_coupled_state
+from jcouple.coupling import (
+    CouplingChain,
+    enumerate_chains,
+    expand_coupled_state,
+    generalized_coupling_coefficient,
+)
 from jcouple.numerics import (
     DomainError,
     GaussianRational,
@@ -224,3 +229,69 @@ class TestKramersOverlap:
                         continue
                     for m in projection_range(chain.total_j):
                         assert kramers_overlap(chain, m).is_zero
+
+
+def _second_symmetry_reference(chain, total_m, interpretation):
+    """The audit as a loop over every projection tuple, coefficient by coefficient."""
+    second_total = -total_m if interpretation == "paper-literal" else total_m
+    acc = PhasedSurdSum.zero()
+    for ms in itertools.product(*(list(projection_range(j)) for j in chain.js)):
+        first = generalized_coupling_coefficient(chain, ms, total_m)
+        if first.is_zero:
+            continue
+        second = generalized_coupling_coefficient(chain, [-m for m in ms], second_total)
+        if second.is_zero:
+            continue
+        acc = acc + (first * second).to_sum().times_i_pow(-sum(m.twice for m in ms))
+    return acc
+
+
+def _kramers_reference(chain, total_m):
+    """<psi|T psi> with T psi built term by term and the bra amplitudes looked up."""
+    expansion = expand_coupled_state(chain, total_m)
+    acc = PhasedSurdSum.zero()
+    for term in apply_time_reversal(expansion):
+        bra_amp = expansion.amplitudes.get(term.projections)
+        if bra_amp is None:
+            continue
+        acc = acc + (bra_amp * term.magnitude).to_sum().times_i_pow(term.phase.k)
+    return acc
+
+
+class TestFlipOverlapReference:
+    """Both audits against their termwise definitions, n=2..3 and every j <= 3/2."""
+
+    def _chains(self):
+        for n in (2, 3):
+            for js in _js_tuples(n, 3):
+                yield from enumerate_chains(js)
+
+    def test_second_symmetry_matches_reference(self):
+        nonzero = 0
+        for chain in self._chains():
+            if not chain.total_j.is_half_odd:
+                continue
+            for m in projection_range(chain.total_j):
+                for interpretation in ("paper-literal", "same-state"):
+                    value = audit_second_symmetry(chain, m, interpretation)
+                    assert value == _second_symmetry_reference(chain, m, interpretation)
+                    nonzero += not value.is_zero
+        assert nonzero > 0  # the paper-literal sums that do not vanish are covered
+
+    def test_kramers_matches_reference(self):
+        nonzero = 0
+        for chain in self._chains():
+            for m in projection_range(chain.total_j):
+                value = kramers_overlap(chain, m)
+                assert value == _kramers_reference(chain, m)
+                nonzero += not value.is_zero
+        assert nonzero > 0  # integral totals at m=0
+
+    @pytest.mark.parametrize("m", ["3/2", "-3/2", "1", "0"])
+    def test_invalid_total_projection_rejected(self, m):
+        chain = _chain(["1/2", "1"], [], "1/2")
+        for interpretation in ("paper-literal", "same-state"):
+            with pytest.raises(DomainError):
+                audit_second_symmetry(chain, H(m), interpretation)
+        with pytest.raises(DomainError):
+            kramers_overlap(chain, H(m))
