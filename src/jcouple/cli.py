@@ -22,8 +22,8 @@ from .coupling import (
     CouplingChain,
     count_coupling_trees,
     coupling_tree,
+    coupling_trees_json,
     enumerate_chains,
-    enumerate_coupling_trees,
     expand_coupled_state,
     export_dot,
     jmax,
@@ -171,8 +171,8 @@ def cmd_schemes(ns: argparse.Namespace) -> int:
     if ns.count_only:
         _emit(str(count_coupling_trees(ns.n, max_leaves=max_leaves)))
     else:
-        trees = enumerate_coupling_trees(ns.n, max_leaves=max_leaves)
-        _emit(json.dumps([t.shape for t in trees]))
+        sys.stdout.writelines(coupling_trees_json(ns.n, max_leaves=max_leaves))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The sequential scheme j1+j2=j12, j12+j3=j123, ... gets exact coefficient
 evaluation; arbitrary binary pairing schemes are enumerated structurally
-(leaf-labeled trees with unordered children, (2n-3)!! of them), counted or
-decoded one at a time from their index, and exported as DOT diagrams.
+(leaf-labeled trees with unordered children, (2n-3)!! of them), counted,
+listed as streamed JSON text, decoded one at a time from their index, and
+exported as DOT diagrams.
 """
 
 from __future__ import annotations
@@ -277,6 +278,54 @@ def enumerate_coupling_trees(n: int, max_leaves: int = 10) -> list[CouplingTree]
     for leaf in range(3, n + 1):
         shapes = [grown for shape in shapes for grown in _insertions(shape, leaf)]
     return [CouplingTree(shape) for shape in shapes]
+
+
+def coupling_trees_json(n: int, max_leaves: int = 10) -> Iterator[str]:
+    """json.dumps([t.shape for t in enumerate_coupling_trees(n)]), written in chunks.
+
+    Builds no tree and holds O(n^2) state, so the listing streams at any n the
+    guard admits.  The guard is checked here, before the first chunk.
+    """
+    _check_guard(n, max_leaves)
+    return _listing_chunks(n)
+
+
+def _grown_spans(spans: list[tuple[int, int]], i: int, leaf: int) -> list[tuple[int, int]]:
+    """Node spans of the text after leaf is spliced in above node i (see _listing_chunks)."""
+    a, b = spans[i]
+    shift = len(f"[, {leaf}]")
+    j = i + 1
+    while j < len(spans) and spans[j][0] < b:  # node i's descendants
+        j += 1
+    return (
+        [(s, e + shift if e > b else e) for s, e in spans[:i]]  # ancestors grow
+        + [(a, b + shift)]  # the new pair
+        + [(s + 1, e + 1) for s, e in spans[i:j]]  # node i's subtree, its left child
+        + [(b + 3, b + shift - 1)]  # the leaf, its right child, after ", "
+        + [(s + shift, e + shift) for s, e in spans[j:]]
+    )
+
+
+def _listing_chunks(n: int) -> Iterator[str]:
+    # A tree is held as its JSON text plus the (start, end) span of every node
+    # in pre-order.  _insertions puts the new leaf above each node in pre-order
+    # (root, then the left subtree's nodes, then the right's), always as the
+    # right child, so the trees grown from one text are "[" + text[a:b] + ", leaf]"
+    # spliced in at each span, in the enumeration's order.  The walk is depth
+    # first; each chunk is the children of one tree with n-1 leaves.
+    def walk(text: str, spans: list[tuple[int, int]], leaf: int) -> Iterator[str]:
+        if leaf == n:
+            yield ", ".join([f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}" for a, b in spans])
+            return
+        for i, (a, b) in enumerate(spans):
+            grown = f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}"
+            yield from walk(grown, _grown_spans(spans, i, leaf), leaf + 1)
+
+    separator = "["
+    for chunk in walk("1", [(0, 1)], 2):
+        yield separator + chunk
+        separator = ", "
+    yield "]"
 
 
 def coupling_tree(n: int, index: int, max_leaves: int = 10) -> CouplingTree:

@@ -246,9 +246,10 @@ def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel
         if z * levels > 10**6:
             raise DomainError("spectrum request exceeds the enumeration guard")
     values = [HalfInt(t) for t in range(0, j_cut.twice + 1)]
+    energies = [energy_level(j) for j in values]  # indexed by j.twice
     levels = []
     for js in itertools.product(values, repeat=z):
-        energy = sum((energy_level(j) for j in js), Fraction(0))
+        energy = sum((energies[j.twice] for j in js), Fraction(0))
         levels.append(
             KeplerLevel(
                 js,

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from jcouple.cli import main
+from jcouple.coupling import count_coupling_trees
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,12 @@ class TestSchemesCommand:
         code, out, _ = run_cli(capsys, "schemes", "--n", "5", "--count-only")
         assert code == 0 and out == "105\n"
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_count_is_listing_length(self, capsys, n):
+        code, out, _ = run_cli(capsys, "schemes", "--n", str(n))
+        assert code == 0
+        assert count_coupling_trees(n) == len(json.loads(out))
+
 
 class TestDiagramCommand:
     def test_dot_structure(self, capsys):
@@ -189,11 +196,22 @@ class TestDiagramCommand:
         assert code == 1 and "out of range" in err
 
 
+# prints the child's peak RSS in KiB (Linux) to stderr, after running argv if any
+PEAK_RSS_CHILD = """
+import resource, sys
+from jcouple.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:])
+sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+"""
+
+
 class TestNoEnumerationCliff:
     """At the guard (n=10, 34,459,425 schemes), building every tree would take about 11 GB.
 
-    A single diagram and the count need none of them.  The subprocess timeout
-    turns a regression into a failure instead of a memory blow-up.
+    A single diagram, the count and the streamed listing need none of them.
+    The subprocess timeout turns a regression into a failure instead of a
+    memory blow-up.
     """
 
     @pytest.mark.parametrize(
@@ -212,6 +230,43 @@ class TestNoEnumerationCliff:
         elapsed = time.perf_counter() - start
         assert run.returncode == 0 and run.stdout
         assert elapsed < 2.0
+
+    def test_listing_streams_to_a_closed_pipe(self):
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jcouple", "schemes", "--n", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            head = proc.stdout.read(64)
+            proc.stdout.close()
+            code = proc.wait(timeout=10)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        elapsed = time.perf_counter() - start
+        assert head.startswith(b"[[[[[[[[[[1, 2], 3], 4], 5], 6], 7], 8], 9], 10], ")
+        assert code == 0 and err == b""
+        assert elapsed < 2.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_listing_memory_is_flat(self):
+        def peak_kib(*argv):
+            run = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+            assert run.returncode == 0
+            return int(run.stderr)
+
+        floor = peak_kib()
+        # 135,135 trees; building them all peaks about 60 MB above the floor
+        assert peak_kib("schemes", "--n", "8") - floor < 16 * 1024
 
 
 class TestClassifyCommand:

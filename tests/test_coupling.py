@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from jcouple.coupling import (
     CouplingTree,
     count_coupling_trees,
     coupling_tree,
+    coupling_trees_json,
     double_factorial,
     enumerate_chains,
     enumerate_coupling_trees,
@@ -253,6 +255,10 @@ class TestCouplingTreeIndex:
             lambda: count_coupling_trees(1),
             lambda: count_coupling_trees(11),
             lambda: count_coupling_trees(5, max_leaves=4),
+            # the listing checks the guard when called, before its first chunk
+            lambda: coupling_trees_json(1),
+            lambda: coupling_trees_json(11),
+            lambda: coupling_trees_json(5, max_leaves=4),
         ):
             with pytest.raises(DomainError, match="at least two momenta|enumeration guard"):
                 bad()
@@ -261,6 +267,13 @@ class TestCouplingTreeIndex:
         for n, k in ((2, 1), (3, -1), (3, 3), (8, 135135)):
             with pytest.raises(DomainError, match=f"scheme index {k} out of range"):
                 coupling_tree(n, k)
+
+
+class TestCouplingTreesJson:
+    def test_matches_json_of_enumeration(self):
+        for n in range(2, 9):
+            expected = json.dumps([t.shape for t in enumerate_coupling_trees(n)])
+            assert "".join(coupling_trees_json(n)) == expected
 
 
 class TestExportDot:

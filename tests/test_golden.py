@@ -1,11 +1,13 @@
 """Golden stdout: SHA-256 of the CLI output for a fixed set of argv.
 
-The digests were recorded before the shared sparse-sum refactor, and the
+The digests were recorded before the shared sparse-sum refactor, the
 scheme and diagram digests and error messages before scheme indices were
-decoded directly; any change to what these commands print, byte for byte,
-fails here.  The unsafe-label and total-projection error messages pin the
-wording of the DOT label check and of the shared (j, m) validity rule.
-Everything runs in-process and takes well under a second.
+decoded directly, and the listings for n=2..4, 6 and 7 and the listing's
+guard errors before the listing was streamed; any change to what these
+commands print, byte for byte, fails here.  Every error case also checks
+that nothing reached stdout.  The unsafe-label and total-projection error
+messages pin the wording of the DOT label check and of the shared (j, m)
+validity rule.  Everything runs in-process and takes well under a second.
 """
 
 import hashlib
@@ -70,6 +72,11 @@ GOLDEN = [
         ("diagram", "--n", "8", "--scheme", "135134"),
         "966f6dfd01538411633532b062f91300fba47d0af2c98a0aeda6fcb5cb52df7e",
     ),
+    (("schemes", "--n", "2"), "0e07dd018c8035cab15acbdf0e189f468da730703df618701e3a5c3bc0c1f5a7"),
+    (("schemes", "--n", "3"), "71b0e56cf4e3e378947f5d8ca56b830249645910f84eecaed57f9ed241a618ea"),
+    (("schemes", "--n", "4"), "dcb64547103d6d23e97bb57aa76c8157be328eeb6123555d293a496819fab785"),
+    (("schemes", "--n", "6"), "ec7ea1d346196b53dd358a9722ba5e691b3206cfdc12936a9cc3d656cfc24886"),
+    (("schemes", "--n", "7"), "f0f083b4734ad3aea27a4ee4361eab6a9f73d44f69335ce44cf1ef569e7c1bd7"),
 ]
 
 
@@ -79,6 +86,7 @@ IDS = [
     "verify-second-sym-paper-literal", "verify-second-sym-same-state", "verify-kramers",
     "kepler-json", "kepler-csv",
     "schemes-n5", "schemes-n5-count", "diagram-n6-labels", "diagram-n8-last",
+    "schemes-n2", "schemes-n3", "schemes-n4", "schemes-n6", "schemes-n7",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
@@ -122,6 +130,9 @@ GOLDEN_ERRORS = [
         ("couple", "--js", "1,1", "--j", "2", "--m", "1/2"),
         "error: total (j, m): m=1/2 not reachable from -j=-2 in unit steps\n",
     ),
+    (None, ("schemes", "--n", "11"), f"error: n=11 {GUARD.format(10)}\n"),
+    ("4", ("schemes", "--n", "5"), f"error: n=5 {GUARD.format(4)}\n"),
+    ("many", ("schemes", "--n", "3"), "error: JCOUPLE_MAX_TREES must be an integer, got 'many'\n"),
 ]
 
 

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcouple.kepler import (
     KramersVerdict,
@@ -150,6 +152,16 @@ class TestSpectrum:
         with pytest.raises(DomainError, match="enumeration guard"):
             spectrum(20, H("1/2"), Statistics.BOSON0)
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        z=st.integers(min_value=1, max_value=4),
+        twice_cut=st.integers(min_value=0, max_value=4),
+        statistics=st.sampled_from(list(Statistics)),
+    )
+    def test_guard_product_counts_entries(self, z, twice_cut, statistics):
+        levels = spectrum(z, HalfInt(twice_cut), statistics)
+        assert z * (twice_cut + 1) ** z == sum(len(level.js) for level in levels)
 
 
 class TestKramers:
