@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .coupling import (
@@ -29,12 +30,7 @@ from .coupling import (
     jmax,
     jmin,
 )
-from .kepler import (
-    Statistics,
-    kramers_applicability,
-    merge_spectrum,
-    spectrum,
-)
+from .kepler import Statistics, _spectrum_walk, kramers_applicability
 from .numerics import (
     DomainError,
     HalfInt,
@@ -193,57 +189,96 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _batched(texts: Iterator[str]) -> Iterator[str]:
+    """Joins up to 1024 consecutive texts per chunk, so each write carries many."""
+    while chunk := "".join(itertools.islice(texts, 1024)):
+        yield chunk
+
+
+def _energy_fields(energy: Fraction) -> str:
+    """The "energy" and "approx" members as json.dumps writes them (a float as its repr)."""
+    return (
+        f'"energy": {{"num": "{energy.numerator}", "den": "{energy.denominator}"}}, '
+        f'"approx": {float(energy)!r}'
+    )
+
+
+def _kepler_csv(names: list[str], verdict: str, walk: Iterator) -> Iterator[str]:
+    """The kepler table, one row per level; each orbit's columns are rendered once.
+
+    No field can hold a comma, a quote or a line break, so csv.writer would
+    quote none of them and the rows are plain joins.
+    """
+    yield "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
+    tails: dict = {}  # orbit -> its row after the tuple column
+    for js, orbit in walk:
+        tail = tails.get(orbit)
+        if tail is None:
+            energy = orbit.energy
+            tail = tails[orbit] = (
+                f",{energy.numerator},{energy.denominator},{orbit.degeneracy_paper},"
+                f"{orbit.degeneracy_enumerated},{verdict}\n"
+            )
+        yield ";".join([names[j.twice] for j in js]) + tail
+
+
+def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str]:
+    """json.dumps of the kepler payload, written in chunks as the walk goes.
+
+    Each orbit's members after "js" are rendered once and spliced after every
+    tuple's "js" text; they are decimal strings, integers, a float and a
+    bool, rendered here as json.dumps writes them because a json.dumps call
+    per orbit costs more than the rest of the orbit's work.  The merged
+    groups keep the "js" texts in walk order, so each group lists its tuples
+    in product order, and sum the counts once per tuple.
+    """
+    seen: dict = {}  # orbit -> (its level text after "js", its energy's group)
+    groups: dict[Fraction, tuple[list[str], list]] = {}  # energy -> (js texts, orbit of each)
+    yield json.dumps(header)[:-1] + ', "levels": ['
+    sep = ""
+    for js, orbit in walk:
+        text = '["' + '", "'.join([names[j.twice] for j in js]) + '"]'
+        entry = seen.get(orbit)
+        if entry is None:
+            tail = (
+                f", {_energy_fields(orbit.energy)}, "
+                f'"deg_paper": {orbit.degeneracy_paper}, '
+                f'"deg_enum": {orbit.degeneracy_enumerated}, '
+                f'"diverges": {"true" if orbit.diverges else "false"}}}'
+            )
+            entry = seen[orbit] = (tail, groups.setdefault(orbit.energy, ([], [])))
+        tail, (texts, members) = entry
+        texts.append(text)
+        members.append(orbit)
+        yield f'{sep}{{"js": {text}{tail}'
+        sep = ", "
+    yield '], "merged": ['
+    sep = ""
+    # float() rounds monotonically, so it never orders two energies against
+    # their exact order; equal floats fall back to the exact comparison
+    for energy in sorted(groups, key=lambda e: (float(e), e)):
+        texts, members = groups[energy]
+        yield (
+            f"{sep}{{{_energy_fields(energy)}, "
+            f'"deg_paper": {sum(o.degeneracy_paper for o in members)}, '
+            f'"deg_enum": {sum(o.degeneracy_enumerated for o in members)}, '
+            f'"tuples": [{", ".join(texts)}]}}'
+        )
+        sep = ", "
+    yield "]}\n"
+
+
 def cmd_kepler(ns: argparse.Namespace) -> int:
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
-    levels = spectrum(ns.z, j_cut, statistics)
-    verdict = kramers_applicability(ns.z, statistics)
+    walk = _spectrum_walk(ns.z, j_cut, statistics)  # raises before any output
+    verdict = kramers_applicability(ns.z, statistics).value
+    names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
     if ns.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["j_tuple", "energy_num", "energy_den", "deg_paper", "deg_enum", "kramers"])
-        for level in levels:
-            writer.writerow(
-                [
-                    ";".join(str(j) for j in level.js),
-                    level.energy.numerator,
-                    level.energy.denominator,
-                    level.degeneracy_paper,
-                    level.degeneracy_enumerated,
-                    verdict.value,
-                ]
-            )
-        return 0
-    payload = {
-        "z": ns.z,
-        "jcut": str(j_cut),
-        "statistics": statistics.value,
-        "kramers": verdict.value,
-        "levels": [
-            {
-                "js": [str(j) for j in level.js],
-                "energy": {
-                    "num": str(level.energy.numerator),
-                    "den": str(level.energy.denominator),
-                },
-                "approx": float(level.energy),
-                "deg_paper": level.degeneracy_paper,
-                "deg_enum": level.degeneracy_enumerated,
-                "diverges": level.diverges,
-            }
-            for level in levels
-        ],
-        "merged": [
-            {
-                "energy": {"num": str(m.energy.numerator), "den": str(m.energy.denominator)},
-                "approx": float(m.energy),
-                "deg_paper": m.degeneracy_paper,
-                "deg_enum": m.degeneracy_enumerated,
-                "tuples": [[str(j) for j in js] for js in m.js_tuples],
-            }
-            for m in merge_spectrum(levels)
-        ],
-    }
-    _emit(json.dumps(payload))
+        sys.stdout.writelines(_batched(_kepler_csv(names, verdict, walk)))
+    else:
+        header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
+        sys.stdout.writelines(_batched(_kepler_json(header, names, walk)))
     return 0
 
 
@@ -258,8 +293,10 @@ def _parse_grid(text: str) -> tuple[int, HalfInt]:
             continue
         if "=" not in chunk:
             raise DomainError(f"grid entries look like key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in pairs:
+            raise DomainError(f"grid key {key!r} given twice")
+        pairs[key] = value
     if set(pairs) != {"n", "jmax"}:
         raise DomainError(f"grid needs exactly n=... and jmax=..., got {sorted(pairs)}")
     try:

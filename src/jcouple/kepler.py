@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .numerics import DomainError, GaussianRational, HalfInt, SparseSum
 
@@ -232,8 +232,33 @@ class MergedKeplerLevel:
     js_tuples: tuple[tuple[HalfInt, ...], ...]
 
 
-def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel]:
-    """One level per j-tuple with all j <= j_cut, in lexicographic tuple order."""
+@dataclass(frozen=True, eq=False, slots=True)
+class _Orbit:
+    """Energy and both counts shared by every ordering of one multiset of j values.
+
+    Compared and hashed by identity: the walk makes one record per multiset.
+    """
+
+    energy: Fraction
+    degeneracy_paper: int
+    degeneracy_enumerated: int
+
+    @property
+    def diverges(self) -> bool:
+        return self.degeneracy_paper != self.degeneracy_enumerated
+
+
+def _spectrum_walk(
+    z: int, j_cut: HalfInt, statistics: Statistics
+) -> Iterator[tuple[tuple[HalfInt, ...], _Orbit]]:
+    """Every j-tuple with all j <= j_cut in lexicographic order, with its orbit record.
+
+    The energy and both counts are symmetric in the tuple, so they are
+    evaluated once per sorted tuple of ``twice`` values (the orbit key) and
+    the record is shared by all its orderings; ``energy_level`` runs once
+    per j value.  The arguments and the guard are checked here, before the
+    first tuple.
+    """
     if z < 1:
         raise DomainError("need at least one particle")
     if j_cut.twice < 0:
@@ -245,21 +270,36 @@ def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel
         levels *= j_cut.twice + 1
         if z * levels > 10**6:
             raise DomainError("spectrum request exceeds the enumeration guard")
-    values = [HalfInt(t) for t in range(0, j_cut.twice + 1)]
+    return _walk(z, j_cut.twice, statistics)
+
+
+def _walk(
+    z: int, twice_cut: int, statistics: Statistics
+) -> Iterator[tuple[tuple[HalfInt, ...], _Orbit]]:
+    values = [HalfInt(t) for t in range(twice_cut + 1)]
     energies = [energy_level(j) for j in values]  # indexed by j.twice
-    levels = []
+    orbits: dict[tuple[int, ...], _Orbit] = {}
     for js in itertools.product(values, repeat=z):
-        energy = sum((energies[j.twice] for j in js), Fraction(0))
-        levels.append(
-            KeplerLevel(
-                js,
-                energy,
+        key = tuple(sorted([j.twice for j in js]))
+        orbit = orbits.get(key)
+        if orbit is None:
+            orbit = orbits[key] = _Orbit(
+                # starting from the first term spares one Fraction addition
+                sum([energies[t] for t in key[1:]], energies[key[0]]),
                 degeneracy_paper(js, statistics),
                 degeneracy_enumerated(js, statistics),
-                statistics,
             )
+        yield js, orbit
+
+
+def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel]:
+    """One level per j-tuple with all j <= j_cut, in lexicographic tuple order."""
+    return [
+        KeplerLevel(
+            js, orbit.energy, orbit.degeneracy_paper, orbit.degeneracy_enumerated, statistics
         )
-    return levels
+        for js, orbit in _spectrum_walk(z, j_cut, statistics)
+    ]
 
 
 def merge_spectrum(levels: Sequence[KeplerLevel]) -> list[MergedKeplerLevel]:

@@ -3,8 +3,10 @@
 The digests were recorded before the shared sparse-sum refactor, the
 scheme and diagram digests and error messages before scheme indices were
 decoded directly, and the listings for n=2..4, 6 and 7 and the listing's
-guard errors before the listing was streamed; any change to what these
-commands print, byte for byte, fails here.  Every error case also checks
+guard errors before the listing was streamed, and the kepler spectra at
+z=1..4 (z=2, jcut=5/2 is the first case where two j-multisets share an
+energy) and the kepler errors before the spectrum was streamed; any change
+to what these commands print, byte for byte, fails here.  Every error case also checks
 that nothing reached stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
 validity rule.  Everything runs in-process and takes well under a second.
@@ -77,6 +79,34 @@ GOLDEN = [
     (("schemes", "--n", "4"), "dcb64547103d6d23e97bb57aa76c8157be328eeb6123555d293a496819fab785"),
     (("schemes", "--n", "6"), "ec7ea1d346196b53dd358a9722ba5e691b3206cfdc12936a9cc3d656cfc24886"),
     (("schemes", "--n", "7"), "f0f083b4734ad3aea27a4ee4361eab6a9f73d44f69335ce44cf1ef569e7c1bd7"),
+    (
+        ("kepler", "--z", "2", "--jcut", "5/2", "--stats", "boson"),
+        "e33cf6b01e8754042c8957dfd0eeb9a575c4d4606dc1585bacb02394c0c4feaf",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "5/2", "--stats", "boson", "--format", "csv"),
+        "2267136d0d880f2337e3f3c38af6ee3a21fddf7befd2ef6f4b738830bcb80d09",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "5/2", "--stats", "fermion"),
+        "2e8fc453e074802a9b7889eacfcb34359fe0336c10d91e7a711f2c60745039cd",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "5/2", "--stats", "fermion", "--format", "csv"),
+        "223ab0ecbdb8572f065279ba55ac341957b3243225092c79d62efec41ffd9f88",
+    ),
+    (
+        ("kepler", "--z", "4", "--jcut", "3/2", "--stats", "fermion"),
+        "4c5556bd3b98c8271de61659058da7e786ea9ff1cfde93d7fd11a30ac02e5524",
+    ),
+    (
+        ("kepler", "--z", "1", "--jcut", "0", "--stats", "boson"),
+        "37e86e9d7f6634c555b857ac58ba278d57605cc587c5678c505f9bada9674339",
+    ),
+    (
+        ("kepler", "--z", "3", "--jcut", "1", "--stats", "boson", "--format", "csv"),
+        "7b5e01cfb8545dffd583c3cd174a28ad96ed2e78b9f1a5663db0b23677acdcf9",
+    ),
 ]
 
 
@@ -87,6 +117,9 @@ IDS = [
     "kepler-json", "kepler-csv",
     "schemes-n5", "schemes-n5-count", "diagram-n6-labels", "diagram-n8-last",
     "schemes-n2", "schemes-n3", "schemes-n4", "schemes-n6", "schemes-n7",
+    "kepler-z2-shared-energy-boson-json", "kepler-z2-shared-energy-boson-csv",
+    "kepler-z2-shared-energy-fermion-json", "kepler-z2-shared-energy-fermion-csv",
+    "kepler-z4-fermion-json", "kepler-z1-zero-energy-json", "kepler-z3-boson-csv",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
@@ -133,6 +166,26 @@ GOLDEN_ERRORS = [
     (None, ("schemes", "--n", "11"), f"error: n=11 {GUARD.format(10)}\n"),
     ("4", ("schemes", "--n", "5"), f"error: n=5 {GUARD.format(4)}\n"),
     ("many", ("schemes", "--n", "3"), "error: JCOUPLE_MAX_TREES must be an integer, got 'many'\n"),
+    (
+        None,
+        ("kepler", "--z", "0", "--jcut", "1", "--stats", "boson"),
+        "error: need at least one particle\n",
+    ),
+    (
+        None,
+        ("kepler", "--z", "1", "--jcut", "-1/2", "--stats", "boson"),
+        "error: cutoff must be nonnegative, got -1/2\n",
+    ),
+    (
+        None,
+        ("kepler", "--z", "2", "--jcut", "1000", "--stats", "boson"),
+        "error: spectrum request exceeds the enumeration guard\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=2,n=3,jmax=0"),
+        "error: grid key 'n' given twice\n",
+    ),
 ]
 
 

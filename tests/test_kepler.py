@@ -1,4 +1,7 @@
+import csv
+import io
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcouple.cli import main
 from jcouple.kepler import (
+    KeplerLevel,
     KramersVerdict,
     LieBasisElement,
     LieExpression,
@@ -162,6 +167,103 @@ class TestSpectrum:
     def test_guard_product_counts_entries(self, z, twice_cut, statistics):
         levels = spectrum(z, HalfInt(twice_cut), statistics)
         assert z * (twice_cut + 1) ** z == sum(len(level.js) for level in levels)
+
+
+def reference_spectrum(z, j_cut, statistics):
+    """spectrum() as a per-tuple loop: every tuple evaluates its own energy and counts."""
+    values = [HalfInt(t) for t in range(0, j_cut.twice + 1)]
+    energies = [energy_level(j) for j in values]
+    return [
+        KeplerLevel(
+            js,
+            sum((energies[j.twice] for j in js), Fraction(0)),
+            degeneracy_paper(js, statistics),
+            degeneracy_enumerated(js, statistics),
+            statistics,
+        )
+        for js in itertools.product(values, repeat=z)
+    ]
+
+
+def _energy(value):
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _names(js):
+    return [str(j) for j in js]
+
+
+def _kepler_argv(z, twice_cut, statistics):
+    stats = "boson" if statistics is Statistics.BOSON0 else "fermion"
+    return ["kepler", "--z", str(z), "--jcut", str(HalfInt(twice_cut)), "--stats", stats]
+
+
+AGREEMENT = pytest.mark.parametrize(
+    "z, twice_cut, statistics",
+    [
+        (z, twice_cut, statistics)
+        for z in (1, 2, 3)
+        for twice_cut in range(6)
+        for statistics in Statistics
+    ],
+)
+
+
+class TestStreamedSpectrum:
+    """The once-per-multiset walk agrees with a per-tuple loop, and the streamed
+    CLI text with spectrum() and merge_spectrum().  z=2 and z=3 at 2 jcut=5
+    have multisets of equal energy, e.g. {0, 5/2} and {1/2, 1}."""
+
+    @AGREEMENT
+    def test_spectrum_matches_per_tuple_loop(self, z, twice_cut, statistics):
+        j_cut = HalfInt(twice_cut)
+        assert spectrum(z, j_cut, statistics) == reference_spectrum(z, j_cut, statistics)
+
+    @AGREEMENT
+    def test_json_matches_spectrum(self, capsys, z, twice_cut, statistics):
+        assert main(_kepler_argv(z, twice_cut, statistics)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        levels = spectrum(z, HalfInt(twice_cut), statistics)
+        assert payload["levels"] == [
+            {
+                "js": _names(level.js),
+                "energy": _energy(level.energy),
+                "approx": float(level.energy),
+                "deg_paper": level.degeneracy_paper,
+                "deg_enum": level.degeneracy_enumerated,
+                "diverges": level.diverges,
+            }
+            for level in levels
+        ]
+        assert payload["merged"] == [
+            {
+                "energy": _energy(m.energy),
+                "approx": float(m.energy),
+                "deg_paper": m.degeneracy_paper,
+                "deg_enum": m.degeneracy_enumerated,
+                "tuples": [_names(js) for js in m.js_tuples],
+            }
+            for m in merge_spectrum(levels)
+        ]
+
+    @AGREEMENT
+    def test_csv_matches_spectrum(self, capsys, z, twice_cut, statistics):
+        assert main([*_kepler_argv(z, twice_cut, statistics), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        verdict = kramers_applicability(z, statistics).value
+        header = ["j_tuple", "energy_num", "energy_den", "deg_paper", "deg_enum", "kramers"]
+        assert rows[0] == header
+        assert rows[1:] == [
+            [
+                ";".join(_names(level.js)),
+                str(level.energy.numerator),
+                str(level.energy.denominator),
+                str(level.degeneracy_paper),
+                str(level.degeneracy_enumerated),
+                verdict,
+            ]
+            for level in spectrum(z, HalfInt(twice_cut), statistics)
+        ]
 
 
 class TestKramers:
