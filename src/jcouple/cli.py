@@ -66,16 +66,16 @@ def _sum_json(value: PhasedSurdSum) -> dict:
     }
 
 
-def _parse_js(text: str) -> tuple[HalfInt, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise DomainError("expected a comma-separated list of momenta")
-    return tuple(parse_halfint(s) for s in items)
-
-
 def _parse_intermediates(text: str) -> tuple[HalfInt, ...]:
     items = [s for s in text.split(",") if s.strip()]
     return tuple(parse_halfint(s) for s in items)
+
+
+def _parse_js(text: str) -> tuple[HalfInt, ...]:
+    js = _parse_intermediates(text)
+    if not js:
+        raise DomainError("expected a comma-separated list of momenta")
+    return js
 
 
 def _max_trees() -> int:
@@ -185,6 +185,9 @@ def cmd_classify(ns: argparse.Namespace) -> int:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON particle description: {exc}") from exc
+    except RecursionError as exc:
+        # the parser recurses once per nested array; its depth limit is not ours
+        raise DomainError("invalid JSON particle description: nested too deeply to parse") from exc
     _emit(json.dumps({"fermion": is_fermion(particle_from_json(obj))}))
     return 0
 
@@ -314,17 +317,23 @@ def _js_tuples(n: int, top: HalfInt) -> Iterator[tuple[HalfInt, ...]]:
     return itertools.product(values, repeat=n)
 
 
+def _univalence_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
+    """(claimed, actual): the coupled univalence of js against (-1)^(2j)."""
+    return coupled_univalence(js), t_squared_sign(j)
+
+
+def _compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
+    """(claimed, actual): +1 against (-1)^(2(sum js - j))."""
+    return 1, 1 if check_compatibility(js, j) else -1
+
+
 def _verify_records(ns: argparse.Namespace) -> Iterator[dict]:
     n, top = _parse_grid(ns.grid)
     if ns.prop in ("univalence", "compat"):
+        claim = _univalence_claim if ns.prop == "univalence" else _compat_claim
         for js in _js_tuples(n, top):
             for j in halfint_range(jmin(js), jmax(js)):
-                if ns.prop == "univalence":
-                    claimed = coupled_univalence(js)
-                    actual = t_squared_sign(j)
-                else:
-                    claimed = 1
-                    actual = 1 if check_compatibility(js, j) else -1
+                claimed, actual = claim(js, j)
                 yield {
                     "input": {"js": [str(x) for x in js], "j": str(j)},
                     "claimed": claimed,

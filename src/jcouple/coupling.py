@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, projection_range
-from .wigner import CgArgs, allowed_j, cg
+from .numerics import DomainError, HalfInt, Surd, check_momentum_pair
+from .wigner import _cg_signed_square, allowed_j
 
 TreeShape = Union[int, tuple]
 
@@ -122,6 +122,31 @@ def enumerate_chains(
     return chains
 
 
+def _chain_signed_square(
+    tjs: Sequence[int], partials: Sequence[int], tms: Sequence[int]
+) -> Fraction:
+    """sign(C) * C**2 of the chain product at twice-projections tms, whose total m is sum(tms)/2.
+
+    tjs and partials are the chain's twice-momenta and twice-partial totals.
+    No argument is checked here: callers check every (j, m) pair first.
+    """
+    value = Fraction(1)
+    t_run = tms[0]
+    for k in range(1, len(tjs)):
+        t_next = t_run + tms[k]
+        if abs(t_next) > partials[k]:
+            return Fraction(0)
+        value *= _cg_signed_square(partials[k - 1], t_run, tjs[k], tms[k], partials[k], t_next)
+        if not value:
+            return value
+        t_run = t_next
+    return value
+
+
+def _twices(chain: CouplingChain) -> tuple[list[int], list[int]]:
+    return [j.twice for j in chain.js], [j.twice for j in chain.partial_totals()]
+
+
 def generalized_coupling_coefficient(
     chain: CouplingChain, ms: Sequence[HalfInt], total_m: HalfInt
 ) -> Surd:
@@ -130,21 +155,10 @@ def generalized_coupling_coefficient(
         raise DomainError(f"expected {chain.n} projections, got {len(ms)}")
     for j, m in zip(chain.js, ms):
         check_momentum_pair(j, m, "(j_k, m_k)")
-    if sum(m.twice for m in ms) != total_m.twice:
+    tms = [m.twice for m in ms]
+    if sum(tms) != total_m.twice:
         return Surd.zero()
-    partials = chain.partial_totals()
-    value = Surd.one()
-    m_run = ms[0]
-    for k in range(1, chain.n):
-        m_next = m_run + ms[k]
-        j_next = partials[k]
-        if abs(m_next.twice) > j_next.twice:
-            return Surd.zero()
-        value = value * cg(CgArgs(partials[k - 1], m_run, chain.js[k], ms[k], j_next, m_next))
-        if value.is_zero:
-            return value
-        m_run = m_next
-    return value
+    return Surd.from_signed_square(_chain_signed_square(*_twices(chain), tms))
 
 
 @dataclass(frozen=True)
@@ -162,14 +176,15 @@ class StateExpansion:
 def expand_coupled_state(chain: CouplingChain, total_m: HalfInt) -> StateExpansion:
     """All nonzero amplitudes over projection tuples with sum(ms) = total_m."""
     check_momentum_pair(chain.total_j, total_m, "total (j, m)")
+    tjs, partials = _twices(chain)
     amplitudes: dict[tuple[HalfInt, ...], Surd] = {}
-    ranges = [list(projection_range(j)) for j in chain.js]
-    for ms in itertools.product(*ranges):
-        if sum(m.twice for m in ms) != total_m.twice:
+    # every tuple drawn from the projection ranges is a valid set of (j_k, m_k)
+    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
+        if sum(tms) != total_m.twice:
             continue
-        amp = generalized_coupling_coefficient(chain, ms, total_m)
-        if not amp.is_zero:
-            amplitudes[ms] = amp
+        value = _chain_signed_square(tjs, partials, tms)
+        if value:
+            amplitudes[tuple(map(HalfInt, tms))] = Surd.from_signed_square(value)
     return StateExpansion(chain, total_m, amplitudes)
 
 

@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .numerics import DomainError
 
@@ -36,22 +36,54 @@ class Node:
 ParticleTree = Union[Leaf, Node]
 
 
-def particle_from_json(obj) -> ParticleTree:
-    """Nested arrays with +-1 atoms, e.g. [[-1,-1,-1],-1], into a ParticleTree."""
+def _atom(obj) -> Leaf:
     if isinstance(obj, bool):
         raise DomainError(f"invalid particle atom {obj!r}")
     if isinstance(obj, int):
         return Leaf(obj)
-    if isinstance(obj, (list, tuple)):
-        return Node(tuple(particle_from_json(child) for child in obj))
     raise DomainError(f"invalid particle description {obj!r}")
 
 
+def particle_from_json(obj) -> ParticleTree:
+    """Nested arrays with +-1 atoms, e.g. [[-1,-1,-1],-1], into a ParticleTree.
+
+    Walks with an explicit stack, so any nesting depth that the JSON parser
+    accepts is built; errors are raised in the order a depth-first walk meets them.
+    """
+    if not isinstance(obj, (list, tuple)):
+        return _atom(obj)
+    # one frame per open array: its children still to read, and the subtrees built
+    stack: list[tuple[Iterator, list[ParticleTree]]] = [(iter(obj), [])]
+    while True:
+        pending, built = stack[-1]
+        for child in pending:
+            if isinstance(child, (list, tuple)):
+                stack.append((iter(child), []))
+                break
+            built.append(_atom(child))
+        else:
+            stack.pop()
+            node = Node(tuple(built))
+            if not stack:
+                return node
+            stack[-1][1].append(node)
+
+
 def is_fermion(p: ParticleTree) -> bool:
-    """A compound is a fermion iff it contains an odd number of fermions."""
-    if isinstance(p, Leaf):
-        return p.univalence == -1
-    return sum(1 for child in p.children if is_fermion(child)) % 2 == 1
+    """A compound is a fermion iff it contains an odd number of fermions.
+
+    Parity composes, so this is the parity of the fermion leaves anywhere in
+    the tree; they are counted with an explicit stack, at any depth.
+    """
+    fermions = 0
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            fermions += node.univalence == -1
+        else:
+            stack.extend(node.children)
+    return fermions % 2 == 1
 
 
 # ---------------------------------------------------------------------------

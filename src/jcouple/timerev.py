@@ -1,10 +1,12 @@
 """Symbolic time-reversal on coupled momenta, and exact proposition audits.
 
 The antiunitary operator acts by T|j,m> = i^(2m) |j,-m> on a single momentum
-and termwise on product states; it is represented by its action (phase map,
-projection flip, conjugation), never as a matrix.  The audit operations
-return exact values and agree/diverge verdicts instead of asserting the
-claimed identities, since exact evaluation is the whole point.
+and termwise on product states.  On a coupled state, whose amplitudes are
+real, that action is one flip of every projection tuple and one power of i
+(`apply_time_reversal`), never a matrix; both overlap audits contract
+through that flip.  The audit operations return exact values and
+agree/diverge verdicts instead of asserting the claimed identities, since
+exact evaluation is the whole point.
 """
 
 from __future__ import annotations
@@ -21,39 +23,6 @@ from .coupling import (
     jmin,
 )
 from .numerics import DomainError, HalfInt, PhasedSurdSum, Surd
-
-
-@dataclass(frozen=True)
-class PhaseI:
-    """A power of i, stored as the exponent k mod 4."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 4)
-
-    def __mul__(self, other: PhaseI) -> PhaseI:
-        return PhaseI(self.k + other.k)
-
-    def conjugate(self) -> PhaseI:
-        return PhaseI(-self.k)
-
-    @property
-    def is_real(self) -> bool:
-        return self.k % 2 == 0
-
-    def real_sign(self) -> int:
-        if not self.is_real:
-            raise DomainError(f"i^{self.k} is not real")
-        return 1 if self.k == 0 else -1
-
-    def __str__(self) -> str:
-        return ("1", "i", "-1", "-i")[self.k]
-
-
-def t_phase(m: HalfInt) -> PhaseI:
-    """The phase i^(2m) picked up by |j,m> under time reversal."""
-    return PhaseI(m.twice)
 
 
 def t_squared_sign(j: HalfInt) -> int:
@@ -79,45 +48,18 @@ def check_compatibility(js: Sequence[HalfInt], j: HalfInt) -> bool:
     return exponent % 2 == 0
 
 
-@dataclass(frozen=True)
-class TStateTerm:
-    """One term phase * magnitude * |(j1,m1), ..., (jn,mn)> of a reversed state."""
+def apply_time_reversal(
+    expansion: StateExpansion,
+) -> tuple[int, dict[tuple[HalfInt, ...], Surd]]:
+    """T of a coupled state as (k, amplitudes): T psi = i^k * sum of amplitudes[ms] |ms>.
 
-    jms: tuple[tuple[HalfInt, HalfInt], ...]
-    phase: PhaseI
-    magnitude: Surd
-
-    @property
-    def projections(self) -> tuple[HalfInt, ...]:
-        return tuple(m for _, m in self.jms)
-
-
-def expansion_terms(expansion: StateExpansion) -> list[TStateTerm]:
-    """The expansion rewritten as unit-phase terms, sorted by projection tuple."""
-    js = expansion.chain.js
-    terms = []
-    for ms in sorted(expansion.amplitudes, key=lambda t: tuple(m.twice for m in t)):
-        terms.append(TStateTerm(tuple(zip(js, ms)), PhaseI(0), expansion.amplitudes[ms]))
-    return terms
-
-
-def time_reverse_terms(terms: Sequence[TStateTerm]) -> list[TStateTerm]:
-    """Apply T termwise: conjugate the phase, flip projections, multiply i^(2*sum m)."""
-    out = []
-    for term in terms:
-        flipped = tuple((j, -m) for j, m in term.jms)
-        phase = term.phase.conjugate() * PhaseI(sum(m.twice for _, m in term.jms))
-        out.append(TStateTerm(flipped, phase, term.magnitude))
-    return out
-
-
-def apply_time_reversal(expansion: StateExpansion) -> list[TStateTerm]:
-    """T of a coupled state, expanded in the product basis.
-
-    Amplitudes are real surds, so conjugation under antilinearity is the
-    identity on the magnitudes; only the i^(2*sum m) prefactors appear.
+    T sends the term at ms to -ms with the phase i^(2 * sum ms).  Every tuple
+    of the support sums to the total m, so the power is the same for every
+    term and is returned once, as k = 2m mod 4.  The amplitudes are real
+    surds, so conjugation under antilinearity leaves them as they are.
     """
-    return time_reverse_terms(expansion_terms(expansion))
+    flipped = {tuple(-m for m in ms): amp for ms, amp in expansion.amplitudes.items()}
+    return expansion.total_m.twice % 4, flipped
 
 
 @dataclass(frozen=True)
@@ -147,18 +89,16 @@ def audit_first_symmetry(
     return FirstSymmetryAudit(lhs, rhs, lhs.sign * rhs.sign)
 
 
-def _flip_overlap(ket: StateExpansion, partner: StateExpansion, k: int) -> PhasedSurdSum:
-    """i^k * sum over ms of ket(ms) * partner(-ms); tuples -ms missing from partner add nothing.
-
-    The phase is the same for every term (each tuple in a support sums to
-    its state's total m), so it is applied once to the sum.
-    """
+def _overlap(
+    bra: dict[tuple[HalfInt, ...], Surd], ket: dict[tuple[HalfInt, ...], Surd]
+) -> PhasedSurdSum:
+    """Sum over ms of bra(ms) * ket(ms) for real amplitudes; tuples missing from ket add 0."""
     acc = PhasedSurdSum.zero()
-    for ms, amp in ket.amplitudes.items():
-        other = partner.amplitudes.get(tuple(-m for m in ms))
+    for ms, amp in bra.items():
+        other = ket.get(ms)
         if other is not None:
             acc = acc + (amp * other).to_sum()
-    return acc.times_i_pow(k)
+    return acc
 
 
 Interpretation = Literal["paper-literal", "same-state"]
@@ -181,16 +121,19 @@ def audit_second_symmetry(
         raise DomainError(f"total momentum {chain.total_j} is not half-odd")
     ket = expand_coupled_state(chain, total_m)
     partner = expand_coupled_state(chain, -total_m) if interpretation == "paper-literal" else ket
-    return _flip_overlap(ket, partner, -total_m.twice)
+    # the flipped partner holds C(-ms; m') at ms; the audit's phase is i^(-2m), not T's
+    _, flipped = apply_time_reversal(partner)
+    return _overlap(ket.amplitudes, flipped).times_i_pow(-total_m.twice)
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     """<psi|T psi> contracted entirely in the product basis.
 
-    T psi has amplitude i^(2m) psi(ms) on -ms, and the amplitudes are real,
-    so the overlap is i^(2m) * sum over ms of psi(-ms) * psi(ms).  Whenever
+    T psi has amplitude i^(2m) psi(-ms) at ms, and the amplitudes are real,
+    so the overlap is i^(2m) * sum over ms of psi(ms) * psi(-ms).  Whenever
     the coupled univalence is -1 (half-odd total j) the supports of psi and
     T psi are disjoint projection tuples and the sum is exactly empty.
     """
     expansion = expand_coupled_state(chain, total_m)
-    return _flip_overlap(expansion, expansion, total_m.twice)
+    k, reversed_amplitudes = apply_time_reversal(expansion)
+    return _overlap(expansion.amplitudes, reversed_amplitudes).times_i_pow(k)

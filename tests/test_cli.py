@@ -318,6 +318,28 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "[[")
         assert code == 1 and "JSON" in err
 
+    @staticmethod
+    def _classify_child(text):
+        # stdin, not argv: one argument is capped at 128 KiB on Linux
+        return subprocess.run(
+            [sys.executable, "-m", "jcouple", "classify"],
+            input=text.encode(),
+            capture_output=True,
+            timeout=30,
+        )
+
+    @pytest.mark.parametrize("atoms, fermion", [("-1", True), ("-1,[1,-1]", False)])
+    def test_deep_nesting_classifies(self, atoms, fermion):
+        run = self._classify_child("[" * 800 + atoms + "]" * 800)
+        assert run.returncode == 0 and run.stderr == b""
+        assert json.loads(run.stdout) == {"fermion": fermion}
+
+    def test_nesting_past_the_parser_is_a_one_line_error(self):
+        run = self._classify_child("[" * 100_000 + "-1" + "]" * 100_000)
+        assert run.returncode == 1 and run.stdout == b""
+        message = b"error: invalid JSON particle description: nested too deeply to parse\n"
+        assert run.stderr == message
+
 
 class TestVerifyCommand:
     def test_first_sym_contains_divergence(self, capsys):

@@ -27,6 +27,7 @@ from jcouple.numerics import (
     parse_halfint,
     projection_range,
 )
+from jcouple.wigner import CgArgs, cg
 
 from oracles import brute_force_totals
 
@@ -150,6 +151,70 @@ class TestGeneralizedCoefficient:
                     expansion = expand_coupled_state(chain, m)
                     for ms, amp in expansion.amplitudes.items():
                         assert generalized_coupling_coefficient(chain, ms, m) == amp
+
+
+def _chain_reference(chain, ms, total_m):
+    """The chain product as one checked cg(CgArgs(...)) per step, on HalfInt and Surd values."""
+    if sum(m.twice for m in ms) != total_m.twice:
+        return Surd.zero()
+    partials = chain.partial_totals()
+    value = Surd.one()
+    m_run = ms[0]
+    for k in range(1, chain.n):
+        m_next = m_run + ms[k]
+        if abs(m_next.twice) > partials[k].twice:
+            return Surd.zero()
+        value = value * cg(CgArgs(partials[k - 1], m_run, chain.js[k], ms[k], partials[k], m_next))
+        m_run = m_next
+    return value
+
+
+class TestChainProductReference:
+    """The integer chain product against the per-step reference, exactly.
+
+    Every chain with n <= 4 and every j <= 1, every total m, and every
+    projection tuple, the zeros and the sum mismatches included.
+    """
+
+    def _chains(self):
+        for n in (1, 2, 3, 4):
+            for js in _js_tuples(n, 2):
+                yield from [CouplingChain(js, (), js[0])] if n == 1 else enumerate_chains(js)
+
+    def test_coefficient_and_expansion_match(self):
+        evaluated = nonzero = 0
+        for chain in self._chains():
+            tuples = list(itertools.product(*(list(projection_range(j)) for j in chain.js)))
+            for m in projection_range(chain.total_j):
+                expected = {}
+                for ms in tuples:
+                    reference = _chain_reference(chain, ms, m)
+                    assert generalized_coupling_coefficient(chain, ms, m) == reference
+                    evaluated += 1
+                    if not reference.is_zero:
+                        expected[ms] = reference
+                amplitudes = expand_coupled_state(chain, m).amplitudes
+                assert amplitudes == expected
+                assert list(amplitudes) == list(expected)  # product order
+                nonzero += len(expected)
+        assert evaluated == 41370 and 0 < nonzero < evaluated
+
+    @pytest.mark.parametrize(
+        "ms, message",
+        [
+            (("1/2",), "expected 2 projections, got 1"),
+            (("1/2", "1/2", "1/2"), "expected 2 projections, got 3"),
+            (("3/2", "-1/2"), "(j_k, m_k): |m|=3/2 exceeds j=1/2"),
+            (("1/2", "-3/2"), "(j_k, m_k): |m|=3/2 exceeds j=1"),
+            (("0", "1/2"), "(j_k, m_k): m=0 not reachable from -j=-1/2 in unit steps"),
+            (("1/2", "1/2"), "(j_k, m_k): m=1/2 not reachable from -j=-1 in unit steps"),
+        ],
+    )
+    def test_boundary_messages(self, ms, message):
+        chain = _chain(["1/2", "1"], [], "3/2")
+        with pytest.raises(DomainError) as info:
+            generalized_coupling_coefficient(chain, tuple(H(m) for m in ms), H("1/2"))
+        assert str(info.value) == message
 
 
 class TestExpansion:

@@ -9,7 +9,9 @@ energy) and the kepler errors before the spectrum was streamed; any change
 to what these commands print, byte for byte, fails here.  Every error case also checks
 that nothing reached stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
-validity rule.  Everything runs in-process and takes well under a second.
+validity rule; the classify case pins the one-line error for nesting deeper
+than the JSON parser accepts (it printed a RecursionError traceback before).
+Everything runs in-process and takes well under a second.
 """
 
 import hashlib
@@ -185,6 +187,11 @@ GOLDEN_ERRORS = [
         None,
         ("verify", "--prop", "univalence", "--grid", "n=2,n=3,jmax=0"),
         "error: grid key 'n' given twice\n",
+    ),
+    (
+        None,
+        ("classify", "[" * 100_000 + "-1" + "]" * 100_000),
+        "error: invalid JSON particle description: nested too deeply to parse\n",
     ),
 ]
 

@@ -70,6 +70,48 @@ class TestFermionQ:
             grown = Node(tree.children + (F,))
             assert is_fermion(grown) != is_fermion(tree)
 
+    def test_walks_match_recursive_definitions(self):
+        """The stack walks against the recursive definitions, kept here, on random input."""
+
+        def build(obj):
+            if isinstance(obj, bool):
+                raise DomainError(f"invalid particle atom {obj!r}")
+            if isinstance(obj, int):
+                return Leaf(obj)
+            if isinstance(obj, (list, tuple)):
+                return Node(tuple(build(child) for child in obj))
+            raise DomainError(f"invalid particle description {obj!r}")
+
+        def fermion(p):
+            if isinstance(p, Leaf):
+                return p.univalence == -1
+            return sum(1 for child in p.children if fermion(child)) % 2 == 1
+
+        def outcome(walk, obj):
+            try:
+                return walk(obj)
+            except DomainError as exc:
+                return str(exc)
+
+        rng = random.Random(7)
+        atoms = [-1, 1, -1, 1, 2, True, "x", None]
+
+        def random_json(depth):
+            if depth == 0 or rng.random() < 0.35:
+                return rng.choice(atoms) if rng.random() < 0.2 else rng.choice([-1, 1])
+            return [random_json(depth - 1) for _ in range(rng.randrange(0, 5))]
+
+        errors = 0
+        for _ in range(500):
+            obj = random_json(5)
+            expected = outcome(build, obj)
+            assert outcome(particle_from_json, obj) == expected
+            if isinstance(expected, str):
+                errors += 1
+            else:
+                assert is_fermion(expected) == fermion(expected)
+        assert 0 < errors < 500  # both valid trees and each error path are drawn
+
 
 class TestPermutations:
     def test_identity_signature(self):

@@ -5,6 +5,7 @@ import pytest
 
 from jcouple.coupling import (
     CouplingChain,
+    StateExpansion,
     enumerate_chains,
     expand_coupled_state,
     generalized_coupling_coefficient,
@@ -19,16 +20,13 @@ from jcouple.numerics import (
     projection_range,
 )
 from jcouple.timerev import (
-    PhaseI,
     apply_time_reversal,
     audit_first_symmetry,
     audit_second_symmetry,
     check_compatibility,
     coupled_univalence,
     kramers_overlap,
-    t_phase,
     t_squared_sign,
-    time_reverse_terms,
 )
 
 H = parse_halfint
@@ -47,27 +45,37 @@ def _js_tuples(n, tmax):
     return itertools.product(values, repeat=n)
 
 
+def _t_power(m):
+    """k in T|j,m> = i^k |j,-m>, read off the single-momentum chain with j = |m|."""
+    j = abs(m)
+    k, _ = apply_time_reversal(expand_coupled_state(CouplingChain((j,), (), j), m))
+    return k
+
+
 class TestPhases:
     def test_zero_projection(self):
-        assert t_phase(H("0")) == PhaseI(0)
+        assert _t_power(H("0")) == 0
 
     def test_half_projection_gives_i(self):
-        assert t_phase(H("1/2")) == PhaseI(1)
+        assert _t_power(H("1/2")) == 1
+        chain = _chain(["1/2"], [], "1/2")
+        reversed_state = apply_time_reversal(expand_coupled_state(chain, H("1/2")))
+        assert reversed_state == (1, {(H("-1/2"),): Surd.one()})
 
     def test_minus_one_projection(self):
-        assert t_phase(H("-1")) == PhaseI(2)
+        assert _t_power(H("-1")) == 2
 
     def test_square_is_univalence_of_projection(self):
         for twice in range(-8, 9):
-            m = HalfInt(twice)
-            squared = t_phase(m) * t_phase(m)
-            expected = PhaseI(0) if twice % 2 == 0 else PhaseI(2)
-            assert squared == expected
+            k = _t_power(HalfInt(twice))
+            expected = 0 if twice % 2 == 0 else 2
+            assert (k + k) % 4 == expected
 
     def test_fourth_power_is_one(self):
         for twice in range(-8, 9):
-            p = t_phase(HalfInt(twice))
-            assert p * p * p * p == PhaseI(0)
+            k = _t_power(HalfInt(twice))
+            assert 0 <= k < 4
+            assert (4 * k) % 4 == 0
 
 
 class TestUnivalence:
@@ -109,34 +117,31 @@ class TestCompatibility:
 
 class TestApplyTimeReversal:
     def test_stretched_pair(self):
-        terms = apply_time_reversal(
+        k, amplitudes = apply_time_reversal(
             expand_coupled_state(_chain(["1/2", "1/2"], [], "1"), H("1"))
         )
-        assert len(terms) == 1
-        term = terms[0]
-        assert term.projections == (H("-1/2"), H("-1/2"))
-        assert term.phase == PhaseI(2)
-        assert term.magnitude == Surd.one()
+        assert k == 2
+        assert amplitudes == {(H("-1/2"), H("-1/2")): Surd.one()}
 
     def test_singlet_phases_trivial(self):
-        terms = apply_time_reversal(
+        k, amplitudes = apply_time_reversal(
             expand_coupled_state(_chain(["1/2", "1/2"], [], "0"), H("0"))
         )
-        assert len(terms) == 2
-        assert all(term.phase == PhaseI(0) for term in terms)
+        assert len(amplitudes) == 2
+        assert k == 0
 
     def test_double_reversal_is_univalence_scalar(self):
         for js in _js_tuples(3, 3):
             univalence = 1 if sum(j.twice for j in js) % 2 == 0 else -1
-            expected_phase = PhaseI(0) if univalence == 1 else PhaseI(2)
+            expected_phase = 0 if univalence == 1 else 2
             for chain in enumerate_chains(js):
                 for m in projection_range(chain.total_j):
                     expansion = expand_coupled_state(chain, m)
-                    twice = time_reverse_terms(apply_time_reversal(expansion))
-                    assert len(twice) == len(expansion.amplitudes)
-                    for term in twice:
-                        assert expansion.amplitudes[term.projections] == term.magnitude
-                        assert term.phase == expected_phase
+                    k, once = apply_time_reversal(expansion)
+                    k_again, twice = apply_time_reversal(StateExpansion(chain, -m, once))
+                    assert twice == expansion.amplitudes
+                    # T is antilinear: T(i^k phi) = i^(-k) T phi
+                    assert (k_again - k) % 4 == expected_phase
 
 
 class TestFirstSymmetry:
@@ -247,14 +252,18 @@ def _second_symmetry_reference(chain, total_m, interpretation):
 
 
 def _kramers_reference(chain, total_m):
-    """<psi|T psi> with T psi built term by term and the bra amplitudes looked up."""
+    """<psi|T psi> with T psi built term by term and the bra amplitudes looked up.
+
+    T maps amp * |ms> to amp * i^(2 * sum ms) |-ms>: each factor flips and
+    contributes i^(2 m_k), and amp is real.
+    """
     expansion = expand_coupled_state(chain, total_m)
     acc = PhasedSurdSum.zero()
-    for term in apply_time_reversal(expansion):
-        bra_amp = expansion.amplitudes.get(term.projections)
+    for ms, amp in expansion.amplitudes.items():
+        bra_amp = expansion.amplitudes.get(tuple(-m for m in ms))
         if bra_amp is None:
             continue
-        acc = acc + (bra_amp * term.magnitude).to_sum().times_i_pow(term.phase.k)
+        acc = acc + (bra_amp * amp).to_sum().times_i_pow(sum(m.twice for m in ms))
     return acc
 
 
