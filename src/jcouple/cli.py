@@ -183,7 +183,8 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     raw = sys.stdin.read() if ns.particle in (None, "-") else ns.particle
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a decode error, or an integer past the interpreter's digit limit
         raise DomainError(f"invalid JSON particle description: {exc}") from exc
     except RecursionError as exc:
         # the parser recurses once per nested array; its depth limit is not ours

@@ -11,10 +11,10 @@ the explicitly approximate conversions.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Hashable, Iterator, Mapping, Union
 
 
@@ -84,9 +84,12 @@ class HalfInt:
 def parse_halfint(text: str) -> HalfInt:
     """Parse "2", "3/2", "-1/2", "1.5" and friends into a HalfInt.
 
-    Any rational notation is accepted as long as the value has denominator
-    1 or 2 in lowest terms.
+    Integers, p/q and decimals are accepted if the value has denominator 1 or 2
+    in lowest terms.  Exponent notation is refused up front: ``Fraction`` would
+    first build 10**exponent, which never ends for "1e1000000000".
     """
+    if re.search(r"[eE][-+]?\d", text):
+        raise DomainError(f"exponent notation is not accepted: {text!r}")
     try:
         q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -526,7 +529,6 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-@lru_cache(maxsize=None)
 def factorial_factorized(n: int) -> FactorizedFactorial:
     """Prime factorization of n!; exponent of p is sum_k floor(n / p**k)."""
     if n < 0:

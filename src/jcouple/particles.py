@@ -11,6 +11,12 @@ from typing import Iterator, Sequence, Union
 from .numerics import DomainError
 
 
+def _echo(obj) -> str:
+    """repr(obj) cut at 60 characters, so an error line stays short for any input."""
+    text = repr(obj)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class Leaf:
     """A basic particle carrying its univalence: -1 fermion, +1 boson."""
@@ -19,7 +25,7 @@ class Leaf:
 
     def __post_init__(self) -> None:
         if self.univalence not in (-1, 1):
-            raise DomainError(f"leaf univalence must be +-1, got {self.univalence!r}")
+            raise DomainError(f"leaf univalence must be +-1, got {_echo(self.univalence)}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,10 @@ ParticleTree = Union[Leaf, Node]
 
 def _atom(obj) -> Leaf:
     if isinstance(obj, bool):
-        raise DomainError(f"invalid particle atom {obj!r}")
+        raise DomainError(f"invalid particle atom {_echo(obj)}")
     if isinstance(obj, int):
         return Leaf(obj)
-    raise DomainError(f"invalid particle description {obj!r}")
+    raise DomainError(f"invalid particle description {_echo(obj)}")
 
 
 def particle_from_json(obj) -> ParticleTree:

@@ -2,8 +2,8 @@
 
 Values use the Condon-Shortley convention: every coefficient is a real surd
 and the stretched coefficient <j1 j1 j2 j2|j1+j2, j1+j2> equals +1.  The
-closed Racah form is evaluated with prime-factorized factorials so the
-radical part stays exactly factored at any size.
+closed Racah form is evaluated in exact integer arithmetic: the Racah sum as
+a ``Fraction`` and the radical prefactor from factorials and binomials.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .numerics import (
     HalfInt,
     Surd,
     check_momentum_pair,
-    factorial_factorized,
     halfint_range,
 )
 
@@ -57,51 +56,34 @@ def allowed_j(j1: HalfInt, j2: HalfInt) -> list[HalfInt]:
     return list(halfint_range(abs(j1 - j2), j1 + j2))
 
 
+def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> bool:
+    """m = m1+m2 and j in the unit-step ladder |j1-j2|..j1+j2, on twice-arguments."""
+    return tm == tm1 + tm2 and abs(tj1 - tj2) <= tj <= tj1 + tj2 and (tj1 + tj2 - tj) % 2 == 0
+
+
 def cg_selection_ok(args: CgArgs) -> bool:
     """True iff m = m1+m2 and j sits in the unit-step ladder |j1-j2|..j1+j2."""
-    tj1, tm1, tj2, tm2, tj, tm = args.twices()
-    if tm != tm1 + tm2:
-        return False
-    if tj < abs(tj1 - tj2) or tj > tj1 + tj2:
-        return False
-    return (tj1 + tj2 - tj) % 2 == 0
+    return _selection_ok(*args.twices())
 
 
 def _radical_prefactor(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:
-    # (2j+1) (j1+j2-j)! (j+j1-j2)! (j-j1+j2)! / (j1+j2+j+1)!
-    #        (j+m)! (j-m)! (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)!
-    plus = [
-        (tj1 + tj2 - tj) // 2,
-        (tj + tj1 - tj2) // 2,
-        (tj - tj1 + tj2) // 2,
-        (tj + tm) // 2,
-        (tj - tm) // 2,
-        (tj1 + tm1) // 2,
-        (tj1 - tm1) // 2,
-        (tj2 + tm2) // 2,
-        (tj2 - tm2) // 2,
-    ]
-    minus = [(tj1 + tj2 + tj) // 2 + 1]
-    exponents: dict[int, int] = {}
-    for n in plus:
-        for p, e in factorial_factorized(n).exponents:
-            exponents[p] = exponents.get(p, 0) + e
-    for n in minus:
-        for p, e in factorial_factorized(n).exponents:
-            exponents[p] = exponents.get(p, 0) - e
-    num, den = tj + 1, 1
-    for p, e in exponents.items():
-        if e > 0:
-            num *= p**e
-        elif e < 0:
-            den *= p**-e
+    # (2j+1) (j+m)! (j-m)! (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! a! b! c! / (a+b+c+1)!
+    # with a = j1+j2-j, b = j+j1-j2, c = j-j1+j2; the triangle part is taken as
+    # a! b! c! / (a+b+c+1)! = 1 / ((a+b+c+1) C(a+b+c, a) C(b+c, b))
+    a = (tj1 + tj2 - tj) // 2
+    b = (tj + tj1 - tj2) // 2
+    c = (tj - tj1 + tj2) // 2
+    num = tj + 1
+    for tj_, tm_ in ((tj, tm), (tj1, tm1), (tj2, tm2)):
+        num *= math.factorial((tj_ + tm_) // 2) * math.factorial((tj_ - tm_) // 2)
+    den = (a + b + c + 1) * math.comb(a + b + c, a) * math.comb(b + c, b)
     return Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
 def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:
     """sign(C) * C**2 for the coefficient with the given twice-arguments."""
-    if tm != tm1 + tm2 or tj < abs(tj1 - tj2) or tj > tj1 + tj2 or (tj1 + tj2 - tj) % 2:
+    if not _selection_ok(tj1, tm1, tj2, tm2, tj, tm):
         return Fraction(0)
     # Racah sum over k; every factorial argument below is a plain integer
     kmin = max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2)

@@ -59,6 +59,21 @@ class TestCgCommand:
         assert code == 1
         assert "5/3" in err
 
+    @pytest.mark.parametrize("text", ["1e1000000000", "1.5e-999999999"])
+    def test_exponent_notation_is_refused_at_once(self, text):
+        # Fraction would build 10**exponent first, which never finishes
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", "cg", "--j1", text, "--m1", "0",
+             "--j2", "0", "--m2", "0", "--j", "0", "--m", "0"],
+            capture_output=True,
+            timeout=10,
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 1 and run.stdout == b""
+        assert run.stderr.startswith(b"error:") and run.stderr.count(b"\n") == 1
+        assert elapsed < 2.0
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cg", "--bogus", "1"])
@@ -339,6 +354,45 @@ class TestClassifyCommand:
         assert run.returncode == 1 and run.stdout == b""
         message = b"error: invalid JSON particle description: nested too deeply to parse\n"
         assert run.stderr == message
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '["' + "x" * 200_000 + '"]',
+            '[{"a": ' + "[" * 900 + "]" * 900 + "}]",
+            "[" + "2" * 4000 + "]",
+            "[" + "1" * 5000 + "]",
+        ],
+        ids=["long-string", "deep-object", "long-int", "int-past-digit-limit"],
+    )
+    def test_error_line_is_bounded(self, text):
+        run = self._classify_child(text)
+        assert run.returncode == 1 and run.stdout == b""
+        assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+        assert len(run.stderr) < 200
+
+
+class TestLargeJCliff:
+    """The radical prefactor at j1 = j = 100000 multiplies four 456,574-digit factorials.
+
+    It took about 12 s when the prefactor went through prime-factorized
+    factorials and their exponent merge; the binomial form takes about 2 s.
+    """
+
+    def test_stretched_coupling_with_zero(self):
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", "cg", "--j1", "100000", "--m1", "0",
+             "--j2", "0", "--m2", "0", "--j", "100000", "--m", "0"],
+            capture_output=True,
+            timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stderr == b""
+        payload = json.loads(run.stdout)
+        assert (payload["sign"], payload["num"], payload["den"]) == (1, "1", "1")
+        assert elapsed < 5.0
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,13 @@ class TestParseHalfInt:
     def test_rejects_thirds(self):
         with pytest.raises(DomainError):
             parse_halfint("5/3")
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1.5e-999999999", "2E0", "1.e1"])
+    def test_refuses_exponent_notation_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="exponent notation"):
+            parse_halfint(text)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,22 @@
+import functools
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from jcouple.numerics import DomainError, HalfInt, PhasedSurdSum, Surd, parse_halfint
+from jcouple.numerics import (
+    DomainError,
+    HalfInt,
+    PhasedSurdSum,
+    Surd,
+    factorial_factorized,
+    parse_halfint,
+)
 from jcouple.wigner import (
     CgArgs,
+    _radical_prefactor,
     allowed_j,
     cg,
     cg_normalization_sum,
@@ -113,6 +124,65 @@ class TestCg:
             assert cg(args) == oracle_cg(
                 args.j1, args.m1, args.j2, args.m2, args.j, args.m
             ), f"mismatch at {args}"
+
+
+class TestRadicalPrefactorReference:
+    """The binomial-form prefactor against the prime-factorized form it replaced.
+
+    The reference merges the prime exponents of the ten factorials of the
+    closed Racah form and multiplies them out, as the kernel once did.
+    """
+
+    @staticmethod
+    def _factorized(tj1, tm1, tj2, tm2, tj, tm, factorized):
+        plus = [
+            (tj1 + tj2 - tj) // 2,
+            (tj + tj1 - tj2) // 2,
+            (tj - tj1 + tj2) // 2,
+            (tj + tm) // 2,
+            (tj - tm) // 2,
+            (tj1 + tm1) // 2,
+            (tj1 - tm1) // 2,
+            (tj2 + tm2) // 2,
+            (tj2 - tm2) // 2,
+        ]
+        minus = [(tj1 + tj2 + tj) // 2 + 1]
+        exponents = {}
+        for n in plus:
+            for p, e in factorized(n).exponents:
+                exponents[p] = exponents.get(p, 0) + e
+        for n in minus:
+            for p, e in factorized(n).exponents:
+                exponents[p] = exponents.get(p, 0) - e
+        num, den = tj + 1, 1
+        for p, e in exponents.items():
+            if e > 0:
+                num *= p**e
+            elif e < 0:
+                den *= p**-e
+        return Fraction(num, den)
+
+    @staticmethod
+    def _random_tuple(rng, tmax):
+        """A valid twice-tuple with every momentum at most tmax/2."""
+        while True:
+            tj1, tj2 = rng.randrange(tmax + 1), rng.randrange(tmax + 1)
+            tj = rng.randrange(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            tm1 = rng.randrange(-tj1, tj1 + 1, 2)
+            tm2 = rng.randrange(-tj2, tj2 + 1, 2)
+            if tj <= tmax and abs(tm1 + tm2) <= tj:
+                return tj1, tm1, tj2, tm2, tj, tm1 + tm2
+
+    def test_equals_factorized_form(self):
+        start = time.perf_counter()
+        factorized = functools.cache(factorial_factorized)
+        small = [a.twices() for a in _grid_args(6) if a.j.twice <= 6 and cg_selection_ok(a)]
+        rng = random.Random(400)
+        large = [self._random_tuple(rng, 800) for _ in range(300)]
+        assert max(t[4] for t in large) > 600
+        for t in small + large:
+            assert _radical_prefactor(*t) == self._factorized(*t, factorized), t
+        assert time.perf_counter() - start < 2.0
 
 
 class TestNormalization:
