@@ -39,13 +39,14 @@ from .numerics import (
     halfint_range,
     parse_halfint,
     projection_range,
+    short_repr,
 )
 from .particles import is_fermion, particle_from_json
 from .timerev import (
-    audit_first_symmetry,
     audit_second_symmetry,
     check_compatibility,
     coupled_univalence,
+    first_symmetry_audits,
     kramers_overlap,
     t_squared_sign,
 )
@@ -296,17 +297,17 @@ def _parse_grid(text: str) -> tuple[int, HalfInt]:
         if not chunk.strip():
             continue
         if "=" not in chunk:
-            raise DomainError(f"grid entries look like key=value, got {chunk!r}")
+            raise DomainError(f"grid entries look like key=value, got {short_repr(chunk)}")
         key, value = (part.strip() for part in chunk.split("=", 1))
         if key in pairs:
-            raise DomainError(f"grid key {key!r} given twice")
+            raise DomainError(f"grid key {short_repr(key)} given twice")
         pairs[key] = value
     if set(pairs) != {"n", "jmax"}:
-        raise DomainError(f"grid needs exactly n=... and jmax=..., got {sorted(pairs)}")
+        raise DomainError(f"grid needs exactly n=... and jmax=..., got {short_repr(sorted(pairs))}")
     try:
         n = int(pairs["n"])
     except ValueError as exc:
-        raise DomainError(f"grid n must be an integer, got {pairs['n']!r}") from exc
+        raise DomainError(f"grid n must be an integer, got {short_repr(pairs['n'])}") from exc
     top = parse_halfint(pairs["jmax"])
     if n < 2 or top.twice < 0:
         raise DomainError("grid needs n >= 2 and jmax >= 0")
@@ -347,18 +348,15 @@ def _verify_records(ns: argparse.Namespace) -> Iterator[dict]:
         extra = {"interpretation": ns.interpretation}
     else:
         overlap, extra = kramers_overlap, {}
+    span = n * top.twice  # the largest |twice m| a first-sym record prints
+    names = {t: str(HalfInt(t)) for t in range(-span, span + 1)}
     for js in _js_tuples(n, top):
         for chain in enumerate_chains(js):
             base = chain.to_json_dict()
             if ns.prop == "first-sym":
-                ranges = [list(projection_range(j)) for j in js]
-                for ms in itertools.product(*ranges):
-                    total = sum(m.twice for m in ms)
-                    if abs(total) > chain.total_j.twice:
-                        continue
-                    audit = audit_first_symmetry(chain, ms, HalfInt(total))
+                for tms, total, audit in first_symmetry_audits(chain):
                     yield {
-                        "input": dict(base, ms=[str(m) for m in ms], m=str(HalfInt(total))),
+                        "input": dict(base, ms=[names[t] for t in tms], m=names[total]),
                         "claimed": 1,
                         "actual": audit.ratio,
                         "verdict": audit.verdict,

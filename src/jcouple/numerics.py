@@ -22,6 +22,12 @@ class DomainError(ValueError):
     """A quantum-number or representation constraint was violated."""
 
 
+def short_repr(obj) -> str:
+    """repr(obj) cut at 60 characters, so an error line stays short for any input."""
+    text = repr(obj)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # half-integers
 
@@ -89,13 +95,15 @@ def parse_halfint(text: str) -> HalfInt:
     first build 10**exponent, which never ends for "1e1000000000".
     """
     if re.search(r"[eE][-+]?\d", text):
-        raise DomainError(f"exponent notation is not accepted: {text!r}")
+        raise DomainError(f"exponent notation is not accepted: {short_repr(text)}")
     try:
         q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse half-integer from {text!r}") from exc
+        raise DomainError(f"cannot parse half-integer from {short_repr(text)}") from exc
     if q.denominator not in (1, 2):
-        raise DomainError(f"{text!r} is not in N/2 (denominator {q.denominator})")
+        raise DomainError(
+            f"{short_repr(text)} is not in N/2 (denominator {short_repr(q.denominator)})"
+        )
     return HalfInt(int(q * 2))
 
 

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .numerics import DomainError
-
-
-def _echo(obj) -> str:
-    """repr(obj) cut at 60 characters, so an error line stays short for any input."""
-    text = repr(obj)
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+from .numerics import DomainError, short_repr
 
 
 @dataclass(frozen=True)
@@ -25,7 +19,7 @@ class Leaf:
 
     def __post_init__(self) -> None:
         if self.univalence not in (-1, 1):
-            raise DomainError(f"leaf univalence must be +-1, got {_echo(self.univalence)}")
+            raise DomainError(f"leaf univalence must be +-1, got {short_repr(self.univalence)}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +38,10 @@ ParticleTree = Union[Leaf, Node]
 
 def _atom(obj) -> Leaf:
     if isinstance(obj, bool):
-        raise DomainError(f"invalid particle atom {_echo(obj)}")
+        raise DomainError(f"invalid particle atom {short_repr(obj)}")
     if isinstance(obj, int):
         return Leaf(obj)
-    raise DomainError(f"invalid particle description {_echo(obj)}")
+    raise DomainError(f"invalid particle description {short_repr(obj)}")
 
 
 def particle_from_json(obj) -> ParticleTree:

@@ -11,12 +11,15 @@ exact evaluation is the whole point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .coupling import (
     CouplingChain,
     StateExpansion,
+    _chain_signed_square,
+    _twices,
     expand_coupled_state,
     generalized_coupling_coefficient,
     jmax,
@@ -76,17 +79,52 @@ class FirstSymmetryAudit:
         return "agree" if self.lhs == self.rhs else "diverge"
 
 
+def _first_symmetry(lhs: Surd, rhs: Surd) -> FirstSymmetryAudit:
+    """The audit of two evaluated sides: no ratio on a zero lhs, else one magnitude or an error."""
+    if lhs.is_zero:
+        return FirstSymmetryAudit(lhs, rhs, None)
+    if rhs.radicand != lhs.radicand:
+        raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
+    return FirstSymmetryAudit(lhs, rhs, lhs.sign * rhs.sign)
+
+
 def audit_first_symmetry(
     chain: CouplingChain, ms: Sequence[HalfInt], total_m: HalfInt
 ) -> FirstSymmetryAudit:
     """Exact both-sides evaluation of the projection-flip identity."""
     lhs = generalized_coupling_coefficient(chain, ms, total_m)
     rhs = generalized_coupling_coefficient(chain, [-m for m in ms], -total_m)
-    if lhs.is_zero:
-        return FirstSymmetryAudit(lhs, rhs, None)
-    if rhs.radicand != lhs.radicand:
-        raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
-    return FirstSymmetryAudit(lhs, rhs, lhs.sign * rhs.sign)
+    return _first_symmetry(lhs, rhs)
+
+
+def first_symmetry_audits(
+    chain: CouplingChain,
+) -> Iterator[tuple[tuple[int, ...], int, FirstSymmetryAudit]]:
+    """The first-symmetry audit at every projection tuple of the chain, in product order.
+
+    Yields (twice ms, twice total m, audit) for each tuple with |sum ms| <= J;
+    the audit equals audit_first_symmetry(chain, ms, sum ms).  Each side is
+    the chain product at its own tuple, evaluated once per distinct tuple, so
+    the records at ms and -ms share their two values; neither side is
+    inferred from the other.
+    """
+    tjs, partials = _twices(chain)
+    top = chain.total_j.twice
+    values: dict[tuple[int, ...], Surd] = {}  # twice ms -> chain product
+
+    def value(tms: tuple[int, ...]) -> Surd:
+        out = values.get(tms)
+        if out is None:
+            out = values[tms] = Surd.from_signed_square(_chain_signed_square(tjs, partials, tms))
+        return out
+
+    # every tuple drawn from the projection ranges is a valid set of (j_k, m_k),
+    # and the |sum| cut keeps -ms exactly when it keeps ms
+    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
+        total = sum(tms)
+        if abs(total) > top:
+            continue
+        yield tms, total, _first_symmetry(value(tms), value(tuple(-t for t in tms)))
 
 
 def _overlap(

@@ -373,6 +373,31 @@ class TestClassifyCommand:
         assert len(run.stderr) < 200
 
 
+class TestLongArgumentEcho:
+    """A 100,000-character argument is echoed in a bounded error line, not in full."""
+
+    ZEROS = ("--m1", "0", "--j2", "0", "--m2", "0", "--j", "0", "--m", "0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cg", "--j1", "x" * 100_000, *ZEROS),
+            ("cg", "--j1", "1/3" + " " * 100_000, *ZEROS),
+            ("cg", "--j1", "1e" + "9" * 100_000, *ZEROS),
+            ("verify", "--prop", "first-sym", "--grid", "x" * 100_000),
+            ("verify", "--prop", "first-sym", "--grid", "n=" + "1" * 100_000 + ",jmax=1"),
+        ],
+        ids=["j1-unparsable", "j1-not-half-integer", "j1-exponent", "grid-entry", "grid-n"],
+    )
+    def test_error_line_is_bounded(self, argv):
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", *argv], capture_output=True, timeout=30
+        )
+        assert run.returncode == 1 and run.stdout == b""
+        assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+        assert len(run.stderr) < 200
+
+
 class TestLargeJCliff:
     """The radical prefactor at j1 = j = 100000 multiplies four 456,574-digit factorials.
 

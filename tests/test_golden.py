@@ -5,7 +5,8 @@ scheme and diagram digests and error messages before scheme indices were
 decoded directly, and the listings for n=2..4, 6 and 7 and the listing's
 guard errors before the listing was streamed, and the kepler spectra at
 z=1..4 (z=2, jcut=5/2 is the first case where two j-multisets share an
-energy) and the kepler errors before the spectrum was streamed; any change
+energy) and the kepler errors before the spectrum was streamed, and the
+first-sym grids at n=2..4 before each ±ms pair shared its evaluation; any change
 to what these commands print, byte for byte, fails here.  Every error case also checks
 that nothing reached stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -109,6 +110,18 @@ GOLDEN = [
         ("kepler", "--z", "3", "--jcut", "1", "--stats", "boson", "--format", "csv"),
         "7b5e01cfb8545dffd583c3cd174a28ad96ed2e78b9f1a5663db0b23677acdcf9",
     ),
+    (
+        ("verify", "--prop", "first-sym", "--grid", "n=2,jmax=3/2"),
+        "0813ab75a567a459606a6a478aa55d05a774e5bcb8235717fb87563f9b318fca",
+    ),
+    (
+        ("verify", "--prop", "first-sym", "--grid", "n=3,jmax=3/2"),
+        "bb1e1a6b96fca39f19d5e48a32f863de8ed40ded3ae1f728bc9e089fa0132228",
+    ),
+    (
+        ("verify", "--prop", "first-sym", "--grid", "n=4,jmax=1"),
+        "c898cb2d8fdfb8ce7695cf4357faa86c6de224f4e366d032df470546267169b3",
+    ),
 ]
 
 
@@ -122,6 +135,7 @@ IDS = [
     "kepler-z2-shared-energy-boson-json", "kepler-z2-shared-energy-boson-csv",
     "kepler-z2-shared-energy-fermion-json", "kepler-z2-shared-energy-fermion-csv",
     "kepler-z4-fermion-json", "kepler-z1-zero-energy-json", "kepler-z3-boson-csv",
+    "verify-first-sym-n2-jmax3/2", "verify-first-sym-n3-jmax3/2", "verify-first-sym-n4-jmax1",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"

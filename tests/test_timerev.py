@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from jcouple import timerev
 from jcouple.coupling import (
     CouplingChain,
     StateExpansion,
@@ -25,6 +27,7 @@ from jcouple.timerev import (
     audit_second_symmetry,
     check_compatibility,
     coupled_univalence,
+    first_symmetry_audits,
     kramers_overlap,
     t_squared_sign,
 )
@@ -177,6 +180,63 @@ class TestFirstSymmetry:
                         audit = audit_first_symmetry(chain, ms, total)
                         if audit.ratio is not None:
                             assert audit.ratio == expected
+
+
+def _first_symmetry_reference(chain):
+    """The per-record loop: audit_first_symmetry at each kept ms, both sides evaluated afresh."""
+    for ms in itertools.product(*(list(projection_range(j)) for j in chain.js)):
+        total = sum(m.twice for m in ms)
+        if abs(total) > chain.total_j.twice:
+            continue
+        audit = audit_first_symmetry(chain, ms, HalfInt(total))
+        yield tuple(m.twice for m in ms), total, audit
+
+
+def _audit_rows(records):
+    return [
+        (tms, total, audit.lhs, audit.rhs, audit.ratio, audit.verdict)
+        for tms, total, audit in records
+    ]
+
+
+class TestFirstSymmetryAudits:
+    """The paired walk against the per-record loop: n <= 4 with j <= 1, n = 3 with j <= 3/2."""
+
+    def _chains(self):
+        for j in (H("0"), H("1/2"), H("1")):
+            yield CouplingChain((j,), (), j)
+        for n, tmax in ((2, 2), (3, 2), (4, 2), (3, 3)):
+            for js in _js_tuples(n, tmax):
+                yield from enumerate_chains(js)
+
+    def test_matches_per_record_audits(self):
+        records = diverging = 0
+        for chain in self._chains():
+            rows = _audit_rows(first_symmetry_audits(chain))
+            assert rows == _audit_rows(_first_symmetry_reference(chain))
+            records += len(rows)
+            diverging += sum(row[5] == "diverge" for row in rows)
+        assert records > 10_000 and 0 < diverging < records
+
+    def test_each_visited_tuple_is_evaluated_once(self, monkeypatch):
+        calls = Counter()
+        evaluate = timerev._chain_signed_square
+
+        def counting(tjs, partials, tms):
+            calls[tuple(tms)] += 1
+            return evaluate(tjs, partials, tms)
+
+        monkeypatch.setattr(timerev, "_chain_signed_square", counting)
+        for chain in self._chains():
+            calls.clear()
+            visited = [tms for tms, _, _ in first_symmetry_audits(chain)]
+            # the |sum| cut is symmetric, so the flipped tuples are the visited ones again
+            assert set(calls) == set(visited)
+            assert set(calls.values()) <= {1}
+
+    def test_magnitude_mismatch_is_an_error(self):
+        with pytest.raises(DomainError, match="flip changed the magnitude"):
+            timerev._first_symmetry(Surd(1, Fraction(1, 2)), Surd(1, Fraction(1, 3)))
 
 
 class TestSecondSymmetry:
