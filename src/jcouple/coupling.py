@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .numerics import DomainError, HalfInt, Surd, check_momentum_pair
+from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, short_repr, short_str
 from .wigner import _cg_signed_square, allowed_j
 
 TreeShape = Union[int, tuple]
@@ -78,7 +78,10 @@ class CouplingChain:
             self.partial_totals()[1:], zip(self.partial_totals(), self.js[1:])
         ):
             if partial not in allowed_j(prev, j_new):
-                raise DomainError(f"{partial} not an allowed coupling of {prev} and {j_new}")
+                raise DomainError(
+                    f"{short_str(partial)} not an allowed coupling of "
+                    f"{short_str(prev)} and {short_str(j_new)}"
+                )
         if n == 1 and self.total_j != self.js[0]:
             raise DomainError("single-momentum chain must have total_j = j1")
 
@@ -147,6 +150,59 @@ def _twices(chain: CouplingChain) -> tuple[list[int], list[int]]:
     return [j.twice for j in chain.js], [j.twice for j in chain.partial_totals()]
 
 
+def _amplitudes(
+    tjs: Sequence[int], partials: Sequence[int], ttotal: int
+) -> dict[tuple[int, ...], Fraction]:
+    """{twice ms: signed square} of the coupled state at twice total m, nonzero entries only.
+
+    A depth-first walk along the chain, in itertools.product order: step k
+    draws only the twice m_k whose running sum t_next keeps
+    |t_next| <= partials[k] and can still reach ttotal with the momenta after
+    it, and the last projection is ttotal minus the running sum.  Each
+    prefix's product is multiplied once and shared by all of its suffixes; a
+    zero drops the prefix's whole subtree.  No argument is checked here:
+    callers check the total (j, m) first, which makes every drawn (j_k, m_k)
+    valid.
+    """
+    n = len(tjs)
+    rest = [0] * (n + 1)  # rest[k]: twice the largest |m| the momenta k.. can sum to
+    for k in range(n - 1, -1, -1):
+        rest[k] = rest[k + 1] + tjs[k]
+    kernel = _cg_signed_square
+    out: dict[tuple[int, ...], Fraction] = {}
+
+    def walk(k: int, prefix: tuple[int, ...], t_run: int, value: Fraction) -> None:
+        # prefix holds tms[:k], t_run its sum and value the product of steps 1..k-1
+        if k == n - 1:
+            tm = ttotal - t_run
+            if k:
+                value *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], ttotal)
+            if value:
+                out[prefix + (tm,)] = value
+            return
+        # every bound has the parity of t_next, so the steps of 2 hit each allowed value
+        lo = max(t_run - tjs[k], -partials[k], ttotal - rest[k + 1])
+        hi = min(t_run + tjs[k], partials[k], ttotal + rest[k + 1])
+        for t_next in range(lo, hi + 1, 2):
+            tm = t_next - t_run
+            step = value
+            if k:
+                step *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], t_next)
+            if step:
+                walk(k + 1, prefix + (tm,), t_next, step)
+
+    walk(0, (), 0, Fraction(1))
+    return out
+
+
+def _state_amplitudes(
+    chain: CouplingChain, total_m: HalfInt
+) -> dict[tuple[int, ...], Fraction]:
+    """_amplitudes of |chain, total_m>, after the one check of the total (j, m)."""
+    check_momentum_pair(chain.total_j, total_m, "total (j, m)")
+    return _amplitudes(*_twices(chain), total_m.twice)
+
+
 def generalized_coupling_coefficient(
     chain: CouplingChain, ms: Sequence[HalfInt], total_m: HalfInt
 ) -> Surd:
@@ -174,17 +230,11 @@ class StateExpansion:
 
 
 def expand_coupled_state(chain: CouplingChain, total_m: HalfInt) -> StateExpansion:
-    """All nonzero amplitudes over projection tuples with sum(ms) = total_m."""
-    check_momentum_pair(chain.total_j, total_m, "total (j, m)")
-    tjs, partials = _twices(chain)
-    amplitudes: dict[tuple[HalfInt, ...], Surd] = {}
-    # every tuple drawn from the projection ranges is a valid set of (j_k, m_k)
-    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
-        if sum(tms) != total_m.twice:
-            continue
-        value = _chain_signed_square(tjs, partials, tms)
-        if value:
-            amplitudes[tuple(map(HalfInt, tms))] = Surd.from_signed_square(value)
+    """All nonzero amplitudes over projection tuples with sum(ms) = total_m, in product order."""
+    amplitudes = {
+        tuple(map(HalfInt, tms)): Surd.from_signed_square(value)
+        for tms, value in _state_amplitudes(chain, total_m).items()
+    }
     return StateExpansion(chain, total_m, amplitudes)
 
 
@@ -370,7 +420,8 @@ def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:
         # labels land inside DOT quoted strings, which these would end or escape
         if '"' in label or "\\" in label or "".join(label.splitlines()) != label:
             raise DomainError(
-                f"label {label!r} may not contain a double quote, a backslash or a line break"
+                f"label {short_repr(label)} may not contain a double quote, a backslash "
+                "or a line break"
             )
     label_of = dict(zip(sorted(tree.leaves()), j_labels))
     boxes: list[str] = []

@@ -22,10 +22,15 @@ class DomainError(ValueError):
     """A quantum-number or representation constraint was violated."""
 
 
-def short_repr(obj) -> str:
-    """repr(obj) cut at 60 characters, so an error line stays short for any input."""
-    text = repr(obj)
+def short_str(obj) -> str:
+    """str(obj) cut at 60 characters, so an error line stays short for any input."""
+    text = str(obj)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
+def short_repr(obj) -> str:
+    """repr(obj) cut at 60 characters, as short_str cuts str."""
+    return short_str(repr(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +152,13 @@ def projection_range(j: HalfInt) -> Iterator[HalfInt]:
 def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
     """The one (j, m) validity rule: j >= 0, |m| <= j, and j - m integral."""
     if j.twice < 0:
-        raise DomainError(f"{name}: momentum must be nonnegative, got {j}")
+        raise DomainError(f"{name}: momentum must be nonnegative, got {short_str(j)}")
     if abs(m.twice) > j.twice:
-        raise DomainError(f"{name}: |m|={abs(m)} exceeds j={j}")
+        raise DomainError(f"{name}: |m|={short_str(abs(m))} exceeds j={short_str(j)}")
     if (j.twice + m.twice) % 2:
-        raise DomainError(f"{name}: m={m} not reachable from -j={-j} in unit steps")
+        raise DomainError(
+            f"{name}: m={short_str(m)} not reachable from -j={short_str(-j)} in unit steps"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,25 @@
 The antiunitary operator acts by T|j,m> = i^(2m) |j,-m> on a single momentum
 and termwise on product states.  On a coupled state, whose amplitudes are
 real, that action is one flip of every projection tuple and one power of i
-(`apply_time_reversal`), never a matrix; both overlap audits contract
-through that flip.  The audit operations return exact values and
-agree/diverge verdicts instead of asserting the claimed identities, since
-exact evaluation is the whole point.
+(`apply_time_reversal`), never a matrix; both overlap audits contract the
+same flip on the chain's twice-integer amplitudes.  The audit operations
+return exact values and agree/diverge verdicts instead of asserting the
+claimed identities, since exact evaluation is the whole point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
 from .coupling import (
     CouplingChain,
     StateExpansion,
     _chain_signed_square,
+    _state_amplitudes,
     _twices,
-    expand_coupled_state,
     generalized_coupling_coefficient,
     jmax,
     jmin,
@@ -128,14 +129,18 @@ def first_symmetry_audits(
 
 
 def _overlap(
-    bra: dict[tuple[HalfInt, ...], Surd], ket: dict[tuple[HalfInt, ...], Surd]
+    bra: dict[tuple[int, ...], Fraction], ket: dict[tuple[int, ...], Fraction]
 ) -> PhasedSurdSum:
-    """Sum over ms of bra(ms) * ket(ms) for real amplitudes; tuples missing from ket add 0."""
+    """Sum over ms of bra(ms) * ket(-ms), on {twice ms: signed square} amplitudes.
+
+    That is the overlap of bra with T ket before T's power of i; tuples
+    whose flip is missing from ket add 0.
+    """
     acc = PhasedSurdSum.zero()
-    for ms, amp in bra.items():
-        other = ket.get(ms)
-        if other is not None:
-            acc = acc + (amp * other).to_sum()
+    for tms, v in bra.items():
+        w = ket.get(tuple(-t for t in tms))
+        if w is not None:
+            acc = acc + Surd.from_signed_square(v * w).to_sum()
     return acc
 
 
@@ -157,11 +162,10 @@ def audit_second_symmetry(
         raise DomainError(f"unknown interpretation {interpretation!r}")
     if not chain.total_j.is_half_odd:
         raise DomainError(f"total momentum {chain.total_j} is not half-odd")
-    ket = expand_coupled_state(chain, total_m)
-    partner = expand_coupled_state(chain, -total_m) if interpretation == "paper-literal" else ket
-    # the flipped partner holds C(-ms; m') at ms; the audit's phase is i^(-2m), not T's
-    _, flipped = apply_time_reversal(partner)
-    return _overlap(ket.amplitudes, flipped).times_i_pow(-total_m.twice)
+    ket = _state_amplitudes(chain, total_m)
+    partner = _state_amplitudes(chain, -total_m) if interpretation == "paper-literal" else ket
+    # the overlap reads C(-ms; m') from the partner; the audit's phase is i^(-2m), not T's
+    return _overlap(ket, partner).times_i_pow(-total_m.twice)
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
@@ -172,6 +176,5 @@ def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     the coupled univalence is -1 (half-odd total j) the supports of psi and
     T psi are disjoint projection tuples and the sum is exactly empty.
     """
-    expansion = expand_coupled_state(chain, total_m)
-    k, reversed_amplitudes = apply_time_reversal(expansion)
-    return _overlap(expansion.amplitudes, reversed_amplitudes).times_i_pow(k)
+    psi = _state_amplitudes(chain, total_m)
+    return _overlap(psi, psi).times_i_pow(total_m.twice)

@@ -374,9 +374,14 @@ class TestClassifyCommand:
 
 
 class TestLongArgumentEcho:
-    """A 100,000-character argument is echoed in a bounded error line, not in full."""
+    """A long argument is echoed in a bounded error line, not in full.
+
+    Either 100,000 characters that fail to parse, or a 4000-digit number that
+    parses and is then rejected by a validity rule.
+    """
 
     ZEROS = ("--m1", "0", "--j2", "0", "--m2", "0", "--j", "0", "--m", "0")
+    DIGITS = "7" * 4000  # a valid number, below the interpreter's int-to-str limit
 
     @pytest.mark.parametrize(
         "argv",
@@ -386,8 +391,14 @@ class TestLongArgumentEcho:
             ("cg", "--j1", "1e" + "9" * 100_000, *ZEROS),
             ("verify", "--prop", "first-sym", "--grid", "x" * 100_000),
             ("verify", "--prop", "first-sym", "--grid", "n=" + "1" * 100_000 + ",jmax=1"),
+            ("couple", "--js", "1,1", "--j", "2", "--m", DIGITS),
+            ("couple", "--js", "1,1,1", "--intermediates", DIGITS, "--j", "1", "--m", "0"),
+            ("diagram", "--n", "2", "--labels", '"' + "x" * 100_000 + ",b"),
         ],
-        ids=["j1-unparsable", "j1-not-half-integer", "j1-exponent", "grid-entry", "grid-n"],
+        ids=[
+            "j1-unparsable", "j1-not-half-integer", "j1-exponent", "grid-entry", "grid-n",
+            "total-projection", "intermediate", "unsafe-label",
+        ],
     )
     def test_error_line_is_bounded(self, argv):
         run = subprocess.run(

@@ -1,9 +1,13 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jcouple import coupling
 from jcouple.coupling import (
     CouplingChain,
     CouplingTree,
@@ -215,6 +219,99 @@ class TestChainProductReference:
         with pytest.raises(DomainError) as info:
             generalized_coupling_coefficient(chain, tuple(H(m) for m in ms), H("1/2"))
         assert str(info.value) == message
+
+
+def _product_then_filter(chain, total_m):
+    """The expansion as a loop over every projection tuple, filtered by its sum."""
+    tjs, partials = coupling._twices(chain)
+    amplitudes = {}
+    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
+        if sum(tms) != total_m.twice:
+            continue
+        value = coupling._chain_signed_square(tjs, partials, tms)
+        if value:
+            amplitudes[tuple(map(HalfInt, tms))] = Surd.from_signed_square(value)
+    return amplitudes
+
+
+@st.composite
+def _random_chains(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    twices = st.integers(min_value=0, max_value=4)
+    js = draw(st.lists(twices.map(HalfInt), min_size=n, max_size=n))
+    return draw(st.sampled_from(enumerate_chains(js)))
+
+
+def _minimal_calls(kernel, tjs, partials, ttotal):
+    """Kernel arguments of a walk that evaluates each (step, prefix) once and nothing else.
+
+    The prefixes are those of the tuples that sum to ttotal, cut at the first
+    step past its partial total and below the first zero factor.
+    """
+    expected, seen = Counter(), set()
+    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
+        if sum(tms) != ttotal:
+            continue
+        value, t_run = Fraction(1), tms[0]
+        for k in range(1, len(tjs)):
+            t_next = t_run + tms[k]
+            if abs(t_next) > partials[k]:
+                break
+            args = (partials[k - 1], t_run, tjs[k], tms[k], partials[k], t_next)
+            if tms[: k + 1] not in seen:
+                seen.add(tms[: k + 1])
+                expected[args] += 1
+            value *= kernel(*args)
+            if not value:
+                break
+            t_run = t_next
+    return expected
+
+
+class TestPrunedWalk:
+    """The expansion's walk: its output against the loop it replaced, and its kernel calls.
+
+    The calls show the pruning and the prefix sharing, which equal output
+    cannot: a walk without them returns the same amplitudes.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_chains())
+    def test_matches_product_then_filter(self, chain):
+        for m in projection_range(chain.total_j):
+            amplitudes = expand_coupled_state(chain, m).amplitudes
+            expected = _product_then_filter(chain, m)
+            assert amplitudes == expected
+            assert list(amplitudes) == list(expected)  # product order
+
+    def test_kernel_calls_are_pruned_and_shared(self, monkeypatch):
+        kernel = coupling._cg_signed_square
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(coupling, "_cg_signed_square", counting)
+        total_calls = 0
+        for chain in TestChainProductReference()._chains():
+            tjs, partials = coupling._twices(chain)
+            rest = [sum(tjs[k + 1 :]) for k in range(chain.n)]
+            for m in projection_range(chain.total_j):
+                calls.clear()
+                expand_coupled_state(chain, m)
+                for a, t_run, b, tm, c, t_next in calls:
+                    assert abs(t_next) <= c  # within its partial total
+                    steps = [
+                        k
+                        for k in range(1, chain.n)
+                        if (partials[k - 1], tjs[k], partials[k]) == (a, b, c)
+                    ]
+                    assert any(abs(m.twice - t_next) <= rest[k] for k in steps)  # can reach m
+                # exactly one call per (step, prefix) that a reachable tuple passes through
+                assert Counter(calls) == _minimal_calls(kernel, tjs, partials, m.twice)
+                total_calls += len(calls)
+        assert total_calls > 0
 
 
 class TestExpansion:

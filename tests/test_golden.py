@@ -6,7 +6,9 @@ decoded directly, and the listings for n=2..4, 6 and 7 and the listing's
 guard errors before the listing was streamed, and the kepler spectra at
 z=1..4 (z=2, jcut=5/2 is the first case where two j-multisets share an
 energy) and the kepler errors before the spectrum was streamed, and the
-first-sym grids at n=2..4 before each ±ms pair shared its evaluation; any change
+first-sym grids at n=2..4 before each ±ms pair shared its evaluation, and
+the kramers grid at n=4 and the second-sym grids at n=3, jmax=3/2 and n=4
+under both readings before the overlaps ran on the pruned walk; any change
 to what these commands print, byte for byte, fails here.  Every error case also checks
 that nothing reached stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -122,6 +124,26 @@ GOLDEN = [
         ("verify", "--prop", "first-sym", "--grid", "n=4,jmax=1"),
         "c898cb2d8fdfb8ce7695cf4357faa86c6de224f4e366d032df470546267169b3",
     ),
+    (
+        ("verify", "--prop", "kramers", "--grid", "n=4,jmax=1"),
+        "884e977cb995767cdf95317e8ae0b672b90b39693010ead0a525df207647b3f2",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=3,jmax=3/2"),
+        "f8b4d5931978d41e9a44e5bd73d7fdb746ff95b67d3ebc31a5d225c11bb4a0a5",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=3,jmax=3/2", "--interpretation", "same-state"),
+        "4a43579382ba74e8bb4398f9d563c726b693717694830580431daac6664c2157",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=4,jmax=1"),
+        "aa56dd38164f10ae53031bd70773b58f60fc4aa1c375ed2463bdc24c18fd1b98",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=4,jmax=1", "--interpretation", "same-state"),
+        "cd85647a82d4e4a9b414fecb9c910fa677d88efacd768688e54f916fe6b1de77",
+    ),
 ]
 
 
@@ -136,6 +158,9 @@ IDS = [
     "kepler-z2-shared-energy-fermion-json", "kepler-z2-shared-energy-fermion-csv",
     "kepler-z4-fermion-json", "kepler-z1-zero-energy-json", "kepler-z3-boson-csv",
     "verify-first-sym-n2-jmax3/2", "verify-first-sym-n3-jmax3/2", "verify-first-sym-n4-jmax1",
+    "verify-kramers-n4-jmax1",
+    "verify-second-sym-paper-literal-n3-jmax3/2", "verify-second-sym-same-state-n3-jmax3/2",
+    "verify-second-sym-paper-literal-n4-jmax1", "verify-second-sym-same-state-n4-jmax1",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
