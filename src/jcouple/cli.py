@@ -152,11 +152,11 @@ def cmd_couple(ns: argparse.Namespace) -> int:
         _parse_js(ns.js), _parse_intermediates(ns.intermediates), parse_halfint(ns.j)
     )
     expansion = expand_coupled_state(chain, parse_halfint(ns.m))
-    terms = []
-    for ms in sorted(expansion.amplitudes, key=lambda t: tuple(m.twice for m in t)):
-        terms.append(
-            {"ms": [str(m) for m in ms], "amp": _surd_json(expansion.amplitudes[ms])}
-        )
+    # the walk yields ascending projection tuples, so the terms need no sort
+    terms = [
+        {"ms": [str(m) for m in ms], "amp": _surd_json(amp)}
+        for ms, amp in expansion.amplitudes.items()
+    ]
     _emit(
         json.dumps({"chain": chain.to_json_dict(), "m": str(expansion.total_m), "terms": terms})
     )

@@ -110,19 +110,17 @@ def enumerate_chains(
     if len(js) < 2:
         raise DomainError("chain enumeration needs at least two momenta")
     js = tuple(js)
-
-    def extend(prefix: tuple[HalfInt, ...], partial: HalfInt, k: int) -> Iterator[CouplingChain]:
-        if k == len(js):
-            if total_j is None or partial == total_j:
-                yield CouplingChain(js, prefix, partial)
-            return
-        for nxt in allowed_j(partial, js[k]):
-            yield from extend(prefix + (partial,), nxt, k + 1)
-
-    chains: list[CouplingChain] = []
-    for j12 in allowed_j(js[0], js[1]):
-        chains.extend(extend((), j12, 2))
-    return chains
+    # (intermediates so far, partial total), extended one momentum at a time in order
+    prefixes = [((), j12) for j12 in allowed_j(js[0], js[1])]
+    for j in js[2:]:
+        prefixes = [
+            (inter + (partial,), nxt) for inter, partial in prefixes for nxt in allowed_j(partial, j)
+        ]
+    return [
+        CouplingChain(js, inter, partial)
+        for inter, partial in prefixes
+        if total_j is None or partial == total_j
+    ]
 
 
 def _chain_signed_square(
@@ -155,43 +153,44 @@ def _amplitudes(
 ) -> dict[tuple[int, ...], Fraction]:
     """{twice ms: signed square} of the coupled state at twice total m, nonzero entries only.
 
-    A depth-first walk along the chain, in itertools.product order: step k
-    draws only the twice m_k whose running sum t_next keeps
-    |t_next| <= partials[k] and can still reach ttotal with the momenta after
-    it, and the last projection is ttotal minus the running sum.  Each
-    prefix's product is multiplied once and shared by all of its suffixes; a
-    zero drops the prefix's whole subtree.  No argument is checked here:
-    callers check the total (j, m) first, which makes every drawn (j_k, m_k)
-    valid.
+    A walk along the chain that extends every live prefix one step at a time,
+    in itertools.product order: step k draws only the twice m_k whose running
+    sum t_next keeps |t_next| <= partials[k] and can still reach ttotal with
+    the momenta after it, and the last projection is ttotal minus the running
+    sum.  Each prefix's product is multiplied once and shared by all of its
+    suffixes; a zero drops the prefix's whole subtree.  No argument is checked
+    here: callers check the total (j, m) first, which makes every drawn
+    (j_k, m_k) valid.
     """
     n = len(tjs)
     rest = [0] * (n + 1)  # rest[k]: twice the largest |m| the momenta k.. can sum to
     for k in range(n - 1, -1, -1):
         rest[k] = rest[k + 1] + tjs[k]
     kernel = _cg_signed_square
+    # (tms[:k], its sum, the product of steps 1..k-1) for every live prefix after k steps
+    live: list[tuple[tuple[int, ...], int, Fraction]] = [((), 0, Fraction(1))]
+    for k in range(n - 1):
+        grown = []
+        for prefix, t_run, value in live:
+            # every bound has the parity of t_next, so the steps of 2 hit each allowed value
+            lo = max(t_run - tjs[k], -partials[k], ttotal - rest[k + 1])
+            hi = min(t_run + tjs[k], partials[k], ttotal + rest[k + 1])
+            for t_next in range(lo, hi + 1, 2):
+                tm = t_next - t_run
+                step = value
+                if k:
+                    step *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], t_next)
+                if step:
+                    grown.append((prefix + (tm,), t_next, step))
+        live = grown
+    k = n - 1
     out: dict[tuple[int, ...], Fraction] = {}
-
-    def walk(k: int, prefix: tuple[int, ...], t_run: int, value: Fraction) -> None:
-        # prefix holds tms[:k], t_run its sum and value the product of steps 1..k-1
-        if k == n - 1:
-            tm = ttotal - t_run
-            if k:
-                value *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], ttotal)
-            if value:
-                out[prefix + (tm,)] = value
-            return
-        # every bound has the parity of t_next, so the steps of 2 hit each allowed value
-        lo = max(t_run - tjs[k], -partials[k], ttotal - rest[k + 1])
-        hi = min(t_run + tjs[k], partials[k], ttotal + rest[k + 1])
-        for t_next in range(lo, hi + 1, 2):
-            tm = t_next - t_run
-            step = value
-            if k:
-                step *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], t_next)
-            if step:
-                walk(k + 1, prefix + (tm,), t_next, step)
-
-    walk(0, (), 0, Fraction(1))
+    for prefix, t_run, value in live:
+        tm = ttotal - t_run
+        if k:
+            value *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], ttotal)
+        if value:
+            out[prefix + (tm,)] = value
     return out
 
 

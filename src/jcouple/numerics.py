@@ -47,25 +47,6 @@ class HalfInt:
         if not isinstance(self.twice, int) or isinstance(self.twice, bool):
             raise DomainError(f"twice must be an integer, got {self.twice!r}")
 
-    @classmethod
-    def from_int(cls, n: int) -> HalfInt:
-        return cls(2 * n)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> HalfInt:
-        if q.denominator not in (1, 2):
-            raise DomainError(f"{q} is not a half-integer")
-        return cls(int(q * 2))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def as_int(self) -> int:
-        """The integer value; rejects half-odd inputs."""
-        if self.twice % 2:
-            raise DomainError(f"{self} is not an integer")
-        return self.twice // 2
-
     @property
     def is_integral(self) -> bool:
         return self.twice % 2 == 0
@@ -104,6 +85,9 @@ def parse_halfint(text: str) -> HalfInt:
     try:
         q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):
+            # a number past the interpreter's int-to-str digit limit (4300 by default)
+            raise DomainError(f"number out of range, too many digits: {short_repr(text)}") from exc
         raise DomainError(f"cannot parse half-integer from {short_repr(text)}") from exc
     if q.denominator not in (1, 2):
         raise DomainError(
@@ -197,13 +181,6 @@ class Surd:
         return cls(1 if q else 0, q)
 
     @classmethod
-    def from_rational(cls, q: Union[Fraction, int]) -> Surd:
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero()
-        return cls(1 if q > 0 else -1, q * q)
-
-    @classmethod
     def from_signed_square(cls, q: Union[Fraction, int]) -> Surd:
         """Build sign(q) * sqrt(|q|); the standard exact carrier for CG values."""
         q = Fraction(q)
@@ -223,13 +200,6 @@ class Surd:
         if self.sign == 0 or other.sign == 0:
             return Surd.zero()
         return Surd(self.sign * other.sign, self.radicand * other.radicand)
-
-    def __truediv__(self, other: Surd) -> Surd:
-        if other.sign == 0:
-            raise ZeroDivisionError("division by the zero surd")
-        if self.sign == 0:
-            return Surd.zero()
-        return Surd(self.sign * other.sign, self.radicand / other.radicand)
 
     def __neg__(self) -> Surd:
         if self.sign == 0:
@@ -297,10 +267,6 @@ class GaussianRational:
         return cls(Fraction(q), Fraction(0))
 
     @classmethod
-    def zero(cls) -> GaussianRational:
-        return cls(Fraction(0), Fraction(0))
-
-    @classmethod
     def coerce(cls, value: Union[GaussianRational, Fraction, int]) -> GaussianRational:
         if isinstance(value, GaussianRational):
             return value
@@ -316,17 +282,11 @@ class GaussianRational:
     def __neg__(self) -> GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
-    def __sub__(self, other: GaussianRational) -> GaussianRational:
-        return self + (-other)
-
     def __mul__(self, other: GaussianRational) -> GaussianRational:
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
 
     def times_i_pow(self, k: int) -> GaussianRational:
         k %= 4
@@ -400,9 +360,6 @@ class SparseSum:
     def items(self) -> tuple[tuple[Hashable, GaussianRational], ...]:
         return tuple(sorted(self._terms.items()))
 
-    def coefficient(self, key: Hashable) -> GaussianRational:
-        return self._terms.get(key, GaussianRational.zero())
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -431,9 +388,6 @@ class SparseSum:
     def __neg__(self) -> SparseSum:
         return self._raw({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: SparseSum) -> SparseSum:
-        return self + (-other)
-
     def scaled(self, factor: ScalarLike) -> SparseSum:
         factor = GaussianRational.coerce(factor)
         if factor.is_zero:
@@ -444,9 +398,6 @@ class SparseSum:
         if k % 4 == 0:
             return self
         return self._raw({key: c.times_i_pow(k) for key, c in self._terms.items()})
-
-    def conjugate(self) -> SparseSum:
-        return self._raw({key: c.conjugate() for key, c in self._terms.items()})
 
     def __repr__(self) -> str:
         name = type(self).__name__
@@ -472,14 +423,6 @@ class PhasedSurdSum(SparseSum):
         if not _is_squarefree(r):
             raise DomainError(f"key {r} is not a squarefree positive integer")
 
-    @classmethod
-    def from_rational(cls, q: Union[Fraction, int]) -> PhasedSurdSum:
-        return cls({1: Fraction(q)})
-
-    @classmethod
-    def from_surd(cls, s: Surd) -> PhasedSurdSum:
-        return s.to_sum()
-
     def __mul__(self, other: Union[PhasedSurdSum, ScalarLike]) -> PhasedSurdSum:
         if not isinstance(other, PhasedSurdSum):
             return self.scaled(other)
@@ -498,12 +441,6 @@ class PhasedSurdSum(SparseSum):
         return PhasedSurdSum._raw(out)
 
     __rmul__ = __mul__
-
-    def approx(self) -> complex:
-        total = complex(0)
-        for r, c in self._terms.items():
-            total += complex(c.re, c.im) * math.sqrt(r)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,6 @@ class Permutation:
         if sorted(self.image) != list(range(1, n + 1)):
             raise DomainError(f"not a permutation of 1..{n}: {self.image}")
 
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
     def apply(self, args: Sequence) -> list:
         return [args[i - 1] for i in self.image]
 

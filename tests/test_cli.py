@@ -431,6 +431,39 @@ class TestLargeJCliff:
         assert elapsed < 5.0
 
 
+class TestLongChainCliff:
+    """Chains of about a thousand momenta are walked without recursion.
+
+    Chain enumeration and the coupled-state walk each recursed once per
+    momentum, so both commands ended in a RecursionError traceback.
+    """
+
+    def _run(self, *argv):
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", *argv], capture_output=True, timeout=30
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stderr == b""
+        assert elapsed < 5.0
+        return run.stdout
+
+    def test_first_sym_grid_of_a_thousand_zeros(self):
+        out = self._run("verify", "--prop", "first-sym", "--grid", "n=1000,jmax=0")
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["input"]["ms"] == ["0"] * 1000
+        assert (record["actual"], record["verdict"]) == (1, "agree")
+
+    def test_couple_twelve_hundred_zeros(self):
+        out = self._run(
+            "couple", "--js", ",".join(["0"] * 1200), "--intermediates", ",".join(["0"] * 1198),
+            "--j", "0", "--m", "0",
+        )
+        assert json.loads(out)["terms"] == [
+            {"ms": ["0"] * 1200, "amp": {"sign": 1, "num": "1", "den": "1", "approx": 1.0}}
+        ]
+
+
 class TestVerifyCommand:
     def test_first_sym_contains_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--prop", "first-sym", "--grid", "n=2,jmax=1")

@@ -8,12 +8,16 @@ z=1..4 (z=2, jcut=5/2 is the first case where two j-multisets share an
 energy) and the kepler errors before the spectrum was streamed, and the
 first-sym grids at n=2..4 before each ±ms pair shared its evaluation, and
 the kramers grid at n=4 and the second-sym grids at n=3, jmax=3/2 and n=4
-under both readings before the overlaps ran on the pruned walk; any change
-to what these commands print, byte for byte, fails here.  Every error case also checks
-that nothing reached stdout.  The unsafe-label and total-projection error
+under both readings before the overlaps ran on the pruned walk, and the
+five-momentum couple expansions at m=0 and m=-1 before couple stopped
+sorting the walk's terms; any change to what these commands print, byte
+for byte, fails here.  Every error case also checks that nothing reached
+stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
 validity rule; the classify case pins the one-line error for nesting deeper
-than the JSON parser accepts (it printed a RecursionError traceback before).
+than the JSON parser accepts (it printed a RecursionError traceback before),
+and the 5000-digit projection case the out-of-range wording for a number
+past the interpreter's int-to-str digit limit.
 Everything runs in-process and takes well under a second.
 """
 
@@ -144,6 +148,14 @@ GOLDEN = [
         ("verify", "--prop", "second-sym", "--grid", "n=4,jmax=1", "--interpretation", "same-state"),
         "cd85647a82d4e4a9b414fecb9c910fa677d88efacd768688e54f916fe6b1de77",
     ),
+    (
+        ("couple", "--js", "1,1/2,1/2,1,1", "--intermediates", "3/2,1,2", "--j", "2", "--m", "0"),
+        "5fa644e60a39d2f8d468469810fd92c6dc2d6f61130604e2bafaefd13cecb3cb",
+    ),
+    (
+        ("couple", "--js", "1,1/2,1/2,1,1", "--intermediates", "3/2,1,2", "--j", "2", "--m", "-1"),
+        "740811c12094697bb290bfb860f76d4c2bf3139e58bda5c5672cf6334fd3fd5f",
+    ),
 ]
 
 
@@ -161,6 +173,7 @@ IDS = [
     "verify-kramers-n4-jmax1",
     "verify-second-sym-paper-literal-n3-jmax3/2", "verify-second-sym-same-state-n3-jmax3/2",
     "verify-second-sym-paper-literal-n4-jmax1", "verify-second-sym-same-state-n4-jmax1",
+    "couple-n5-m0", "couple-n5-m-1",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
@@ -231,6 +244,11 @@ GOLDEN_ERRORS = [
         None,
         ("classify", "[" * 100_000 + "-1" + "]" * 100_000),
         "error: invalid JSON particle description: nested too deeply to parse\n",
+    ),
+    (
+        None,
+        ("couple", "--js", "1,1", "--j", "2", "--m", "7" * 5000),
+        f"error: number out of range, too many digits: '{'7' * 59}... (5002 characters)\n",
     ),
 ]
 
