@@ -13,6 +13,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -21,11 +22,11 @@ from typing import Iterator, Sequence
 
 from .coupling import (
     CouplingChain,
+    _state_amplitudes,
     count_coupling_trees,
     coupling_tree,
     coupling_trees_json,
     enumerate_chains,
-    expand_coupled_state,
     export_dot,
     jmax,
     jmin,
@@ -34,7 +35,6 @@ from .kepler import Statistics, _spectrum_walk, kramers_applicability
 from .numerics import (
     DomainError,
     HalfInt,
-    PhasedSurdSum,
     Surd,
     halfint_range,
     parse_halfint,
@@ -57,14 +57,6 @@ def _surd_json(value: Surd) -> dict:
     out = value.to_json_dict()
     out["approx"] = value.approx()
     return out
-
-
-def _sum_json(value: PhasedSurdSum) -> dict:
-    return {
-        "terms": [
-            {"root": str(r), "re": str(c.re), "im": str(c.im)} for r, c in value.items()
-        ]
-    }
 
 
 def _parse_intermediates(text: str) -> tuple[HalfInt, ...]:
@@ -147,19 +139,49 @@ def cmd_regge_audit(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _names(top: int) -> dict[int, str]:
+    """{twice m: str(m)} for every |twice m| <= top."""
+    return {t: str(HalfInt(t)) for t in range(-top, top + 1)}
+
+
+def _list_text(names: dict[int, str], twices: Sequence[int]) -> str:
+    """json.dumps of the nonempty list [names[t] for t in twices]."""
+    return '["' + '", "'.join([names[t] for t in twices]) + '"]'
+
+
+def _amp_text(value: Fraction) -> str:
+    """_surd_json(Surd.from_signed_square(value)) of a nonzero value, as json.dumps writes it."""
+    sign, square = (1, value) if value > 0 else (-1, -value)
+    return (
+        f'{{"sign": {sign}, "num": "{square.numerator}", "den": "{square.denominator}", '
+        f'"approx": {sign * math.sqrt(square)!r}}}'
+    )
+
+
+def _couple_json(
+    chain: CouplingChain, total_m: HalfInt, amplitudes: dict[tuple[int, ...], Fraction]
+) -> Iterator[str]:
+    """json.dumps of the couple payload, written as the terms are rendered.
+
+    The terms come from the walk's {twice ms: signed square} table in walk
+    order; no HalfInt or Surd is built for them.
+    """
+    names = _names(max(j.twice for j in chain.js))
+    yield f'{{"chain": {json.dumps(chain.to_json_dict())}, "m": "{total_m}", "terms": ['
+    sep = ""
+    for tms, value in amplitudes.items():
+        yield f'{sep}{{"ms": {_list_text(names, tms)}, "amp": {_amp_text(value)}}}'
+        sep = ", "
+    yield "]}\n"
+
+
 def cmd_couple(ns: argparse.Namespace) -> int:
     chain = CouplingChain(
         _parse_js(ns.js), _parse_intermediates(ns.intermediates), parse_halfint(ns.j)
     )
-    expansion = expand_coupled_state(chain, parse_halfint(ns.m))
-    # the walk yields ascending projection tuples, so the terms need no sort
-    terms = [
-        {"ms": [str(m) for m in ms], "amp": _surd_json(amp)}
-        for ms, amp in expansion.amplitudes.items()
-    ]
-    _emit(
-        json.dumps({"chain": chain.to_json_dict(), "m": str(expansion.total_m), "terms": terms})
-    )
+    total_m = parse_halfint(ns.m)
+    amplitudes = _state_amplitudes(chain, total_m)  # raises before any output
+    sys.stdout.writelines(_batched(_couple_json(chain, total_m, amplitudes)))
     return 0
 
 
@@ -329,52 +351,66 @@ def _compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
     return 1, 1 if check_compatibility(js, j) else -1
 
 
-def _verify_records(ns: argparse.Namespace) -> Iterator[dict]:
+def _verify_lines(ns: argparse.Namespace) -> Iterator[str]:
+    """The audit records, each json.dumps of its record dict plus a newline.
+
+    A record is {"input": {...}, "claimed": ..., "actual": ..., "verdict": ...}.
+    Its text is spliced with f-strings: the momenta's text is rendered once
+    per js tuple, the chain's members once per chain, and projections come
+    from a table of twice-integer names.  Every value is a decimal string, a
+    small integer or null, so nothing needs escaping.
+    """
     n, top = _parse_grid(ns.grid)
     if ns.prop in ("univalence", "compat"):
         claim = _univalence_claim if ns.prop == "univalence" else _compat_claim
+        names = _names(top.twice)
         for js in _js_tuples(n, top):
+            head = f'{{"input": {{"js": {_list_text(names, [x.twice for x in js])}, "j": "'
             for j in halfint_range(jmin(js), jmax(js)):
                 claimed, actual = claim(js, j)
-                yield {
-                    "input": {"js": [str(x) for x in js], "j": str(j)},
-                    "claimed": claimed,
-                    "actual": actual,
-                    "verdict": "agree" if claimed == actual else "diverge",
-                }
+                verdict = "agree" if claimed == actual else "diverge"
+                yield (
+                    f'{head}{j}"}}, "claimed": {claimed}, "actual": {actual}, '
+                    f'"verdict": "{verdict}"}}\n'
+                )
         return
     if ns.prop == "second-sym":
         overlap = functools.partial(audit_second_symmetry, interpretation=ns.interpretation)
-        extra = {"interpretation": ns.interpretation}
+        extra = f', "interpretation": "{ns.interpretation}"'
     else:
-        overlap, extra = kramers_overlap, {}
-    span = n * top.twice  # the largest |twice m| a first-sym record prints
-    names = {t: str(HalfInt(t)) for t in range(-span, span + 1)}
+        overlap, extra = kramers_overlap, ""
+    names = _names(n * top.twice)  # the largest |twice m| a first-sym record prints
     for js in _js_tuples(n, top):
         for chain in enumerate_chains(js):
-            base = chain.to_json_dict()
+            head = '{"input": ' + json.dumps(chain.to_json_dict())[:-1]
             if ns.prop == "first-sym":
                 for tms, total, audit in first_symmetry_audits(chain):
-                    yield {
-                        "input": dict(base, ms=[names[t] for t in tms], m=names[total]),
-                        "claimed": 1,
-                        "actual": audit.ratio,
-                        "verdict": audit.verdict,
-                    }
+                    actual = "null" if audit.ratio is None else audit.ratio
+                    yield (
+                        f'{head}, "ms": {_list_text(names, tms)}, "m": "{names[total]}"}}, '
+                        f'"claimed": 1, "actual": {actual}, "verdict": "{audit.verdict}"}}\n'
+                    )
             elif chain.total_j.is_half_odd:  # second-sym, kramers
                 for m in projection_range(chain.total_j):
                     value = overlap(chain, m)
-                    yield {
-                        "input": dict(base, m=str(m), **extra),
-                        "claimed": "0",
-                        "actual": _sum_json(value),
-                        "verdict": "agree" if value.is_zero else "diverge",
-                    }
+                    terms = ", ".join(
+                        [
+                            f'{{"root": "{r}", "re": "{c.re!s}", "im": "{c.im!s}"}}'
+                            for r, c in value.items()
+                        ]
+                    )
+                    verdict = "agree" if value.is_zero else "diverge"
+                    yield (
+                        f'{head}, "m": "{m}"{extra}}}, "claimed": "0", '
+                        f'"actual": {{"terms": [{terms}]}}, "verdict": "{verdict}"}}\n'
+                    )
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    for record in _verify_records(ns):
-        _emit(json.dumps(record))
+    # one write per record, as soon as it is rendered, so a reader sees each record's line at once
+    write = sys.stdout.write
+    for line in _verify_lines(ns):
+        write(line)
     return 0
 
 

@@ -464,6 +464,77 @@ class TestLongChainCliff:
         ]
 
 
+# prints the child's own peak RSS in KiB (Linux) to stderr, after running argv if any;
+# ru_maxrss would also count the RSS of the process that started it, here pytest's
+PEAK_HWM_CHILD = """
+import sys
+from jcouple.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+class TestCoupleCliff:
+    """600 spin-1/2 momenta, stretched to j=300, at m=299: 600 terms of 600 projections.
+
+    Rebuilding every term as HalfInt keys, a surd and a dict for one
+    json.dumps peaked about 69 MB above the import floor.  The terms are
+    rendered from the walk's twice-integer table and written in chunks.
+    """
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_long_chain_streams(self):
+        def peak_kib(*argv):
+            run = subprocess.run(
+                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+            assert run.returncode == 0
+            return int(run.stderr)
+
+        n = 600
+        # the stretched intermediates 2/2, 3/2, ..., 599/2
+        intermediates = ",".join(f"{t}/2" for t in range(2, n))
+        argv = ["couple", "--js", ",".join(["1/2"] * n), "--intermediates", intermediates]
+        floor = peak_kib()
+        assert peak_kib(*argv, "--j", "300", "--m", "299") - floor < 24 * 1024
+
+
+class TestVerifyStreams:
+    """verify writes each record as soon as it is rendered.
+
+    A reader that takes the first line of a large grid and closes the pipe
+    sees the command end at once, quietly; a verify that held the grid's
+    records back would still be evaluating.
+    """
+
+    @pytest.mark.parametrize("prop", ["first-sym", "kramers"])
+    def test_first_record_then_closed_pipe(self, prop):
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jcouple", "verify", "--prop", prop, "--grid", "n=6,jmax=1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=10)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        elapsed = time.perf_counter() - start
+        assert json.loads(line)["verdict"] in ("agree", "diverge")
+        assert code == 0 and err == b""
+        assert elapsed < 2.0
+
+
 class TestVerifyCommand:
     def test_first_sym_contains_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--prop", "first-sym", "--grid", "n=2,jmax=1")

@@ -10,7 +10,9 @@ first-sym grids at n=2..4 before each ±ms pair shared its evaluation, and
 the kramers grid at n=4 and the second-sym grids at n=3, jmax=3/2 and n=4
 under both readings before the overlaps ran on the pruned walk, and the
 five-momentum couple expansions at m=0 and m=-1 before couple stopped
-sorting the walk's terms; any change to what these commands print, byte
+sorting the walk's terms, and the univalence and compat grids at n=4,
+jmax=2 and the second-sym grid at n=2, jmax=5/2 before verify records were
+written as spliced text; any change to what these commands print, byte
 for byte, fails here.  Every error case also checks that nothing reached
 stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -156,6 +158,18 @@ GOLDEN = [
         ("couple", "--js", "1,1/2,1/2,1,1", "--intermediates", "3/2,1,2", "--j", "2", "--m", "-1"),
         "740811c12094697bb290bfb860f76d4c2bf3139e58bda5c5672cf6334fd3fd5f",
     ),
+    (
+        ("verify", "--prop", "univalence", "--grid", "n=4,jmax=2"),
+        "bb6e698599147514e55b1d7783771a47f8596365cbfdf1bf36be082a44939897",
+    ),
+    (
+        ("verify", "--prop", "compat", "--grid", "n=4,jmax=2"),
+        "6eee6068da761f0486fe52c0863dabb68a16a15ecab656a9a9195d57fa9ddab5",
+    ),
+    (
+        ("verify", "--prop", "second-sym", "--grid", "n=2,jmax=5/2"),
+        "0deea92dc4544fd57a9bf2c51da2e9a6103f2c6961c8669961e99a94240ca8f9",
+    ),
 ]
 
 
@@ -174,6 +188,8 @@ IDS = [
     "verify-second-sym-paper-literal-n3-jmax3/2", "verify-second-sym-same-state-n3-jmax3/2",
     "verify-second-sym-paper-literal-n4-jmax1", "verify-second-sym-same-state-n4-jmax1",
     "couple-n5-m0", "couple-n5-m-1",
+    "verify-univalence-n4-jmax2", "verify-compat-n4-jmax2",
+    "verify-second-sym-paper-literal-n2-jmax5/2",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
