@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 domain errors (bad quantum numbers, with a one-line
 diagnostic on stderr), 2 usage errors.  Output is byte-deterministic for a
 fixed argv: no timestamps, sorted iteration everywhere, exact values as
 decimal strings with floats only under explicit "approx" keys.
+
+Every subcommand returns its output as an iterable of texts and ``main`` is
+the one writer.  A handler checks its input when it is called, or, for
+``verify``, before its first text, so an error leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -18,7 +21,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coupling import (
     CouplingChain,
@@ -35,7 +38,6 @@ from .kepler import Statistics, _spectrum_walk, kramers_applicability
 from .numerics import (
     DomainError,
     HalfInt,
-    Surd,
     halfint_range,
     parse_halfint,
     projection_range,
@@ -51,12 +53,6 @@ from .timerev import (
     t_squared_sign,
 )
 from .wigner import CgArgs, cg, regge_orbit_audit, three_j
-
-
-def _surd_json(value: Surd) -> dict:
-    out = value.to_json_dict()
-    out["approx"] = value.approx()
-    return out
 
 
 def _parse_intermediates(text: str) -> tuple[HalfInt, ...]:
@@ -81,17 +77,11 @@ def _max_trees() -> int:
         raise DomainError(f"JCOUPLE_MAX_TREES must be an integer, got {raw!r}") from exc
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_coefficient(ns: argparse.Namespace) -> int:
+def cmd_coefficient(ns: argparse.Namespace) -> list[str]:
     """cg and threej; each subparser sets ``evaluate`` to its six-argument evaluator."""
     value = ns.evaluate(
         parse_halfint(ns.j1),
@@ -102,13 +92,11 @@ def cmd_coefficient(ns: argparse.Namespace) -> int:
         parse_halfint(ns.m),
     )
     if ns.format == "plain":
-        _emit(f"{value} ~= {value.approx()}")
-    else:
-        _emit(json.dumps(_surd_json(value)))
-    return 0
+        return [f"{value} ~= {value.approx()}\n"]
+    return [_surd_text(value.signed_square()) + "\n"]
 
 
-def cmd_regge_audit(ns: argparse.Namespace) -> int:
+def cmd_regge_audit(ns: argparse.Namespace) -> list[str]:
     entries = regge_orbit_audit(
         parse_halfint(ns.a),
         parse_halfint(ns.alpha),
@@ -117,26 +105,14 @@ def cmd_regge_audit(ns: argparse.Namespace) -> int:
         parse_halfint(ns.c),
         parse_halfint(ns.gamma),
     )
-    rows = [
-        {
-            "transform": e.transform,
-            "claimed": e.claimed,
-            "actual": e.actual,
-            "verdict": "agree" if e.agrees else "diverge",
-        }
-        for e in entries
-    ]
+    keys = ("transform", "claimed", "actual", "verdict")
+    rows = [(e.transform, e.claimed, e.actual, "agree" if e.agrees else "diverge") for e in entries]
     if ns.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["transform", "claimed", "actual", "verdict"])
-        for row in rows:
-            writer.writerow([row["transform"], row["claimed"], row["actual"], row["verdict"]])
-    elif ns.format == "plain":
-        for row in rows:
-            _emit(f"{row['transform']}\t{row['claimed']:+d}\t{row['actual']:+d}\t{row['verdict']}")
-    else:
-        _emit(json.dumps(rows))
-    return 0
+        # no field can hold a comma, a quote or a line break, so the rows are plain joins
+        return [",".join(keys) + "\n"] + [f"{t},{c},{a},{v}\n" for t, c, a, v in rows]
+    if ns.format == "plain":
+        return [f"{t}\t{c:+d}\t{a:+d}\t{v}\n" for t, c, a, v in rows]
+    return [json.dumps([dict(zip(keys, row)) for row in rows]) + "\n"]
 
 
 def _names(top: int) -> dict[int, str]:
@@ -144,14 +120,15 @@ def _names(top: int) -> dict[int, str]:
     return {t: str(HalfInt(t)) for t in range(-top, top + 1)}
 
 
-def _list_text(names: dict[int, str], twices: Sequence[int]) -> str:
-    """json.dumps of the nonempty list [names[t] for t in twices]."""
-    return '["' + '", "'.join([names[t] for t in twices]) + '"]'
+def _list_text(texts: list[str]) -> str:
+    """json.dumps of a nonempty list of strings that need no escaping."""
+    return '["' + '", "'.join(texts) + '"]'
 
 
-def _amp_text(value: Fraction) -> str:
-    """_surd_json(Surd.from_signed_square(value)) of a nonzero value, as json.dumps writes it."""
-    sign, square = (1, value) if value > 0 else (-1, -value)
+def _surd_text(value: Fraction) -> str:
+    """The JSON object of the surd whose signed square is value, with its "approx" float."""
+    sign = (value > 0) - (value < 0)
+    square = abs(value)
     return (
         f'{{"sign": {sign}, "num": "{square.numerator}", "den": "{square.denominator}", '
         f'"approx": {sign * math.sqrt(square)!r}}}'
@@ -170,39 +147,34 @@ def _couple_json(
     yield f'{{"chain": {json.dumps(chain.to_json_dict())}, "m": "{total_m}", "terms": ['
     sep = ""
     for tms, value in amplitudes.items():
-        yield f'{sep}{{"ms": {_list_text(names, tms)}, "amp": {_amp_text(value)}}}'
+        yield f'{sep}{{"ms": {_list_text([names[t] for t in tms])}, "amp": {_surd_text(value)}}}'
         sep = ", "
     yield "]}\n"
 
 
-def cmd_couple(ns: argparse.Namespace) -> int:
+def cmd_couple(ns: argparse.Namespace) -> Iterator[str]:
     chain = CouplingChain(
         _parse_js(ns.js), _parse_intermediates(ns.intermediates), parse_halfint(ns.j)
     )
     total_m = parse_halfint(ns.m)
     amplitudes = _state_amplitudes(chain, total_m)  # raises before any output
-    sys.stdout.writelines(_batched(_couple_json(chain, total_m, amplitudes)))
-    return 0
+    return _batched(_couple_json(chain, total_m, amplitudes))
 
 
-def cmd_schemes(ns: argparse.Namespace) -> int:
+def cmd_schemes(ns: argparse.Namespace) -> Iterable[str]:
     max_leaves = _max_trees()
     if ns.count_only:
-        _emit(str(count_coupling_trees(ns.n, max_leaves=max_leaves)))
-    else:
-        sys.stdout.writelines(coupling_trees_json(ns.n, max_leaves=max_leaves))
-        sys.stdout.write("\n")
-    return 0
+        return [f"{count_coupling_trees(ns.n, max_leaves=max_leaves)}\n"]
+    return itertools.chain(coupling_trees_json(ns.n, max_leaves=max_leaves), ["\n"])
 
 
-def cmd_diagram(ns: argparse.Namespace) -> int:
+def cmd_diagram(ns: argparse.Namespace) -> list[str]:
     tree = coupling_tree(ns.n, ns.scheme, max_leaves=_max_trees())
     labels = ns.labels.split(",") if ns.labels else [str(i) for i in range(1, ns.n + 1)]
-    _emit(export_dot(tree, labels))
-    return 0
+    return [export_dot(tree, labels)]
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
+def cmd_classify(ns: argparse.Namespace) -> list[str]:
     raw = sys.stdin.read() if ns.particle in (None, "-") else ns.particle
     try:
         obj = json.loads(raw)
@@ -212,8 +184,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     except RecursionError as exc:
         # the parser recurses once per nested array; its depth limit is not ours
         raise DomainError("invalid JSON particle description: nested too deeply to parse") from exc
-    _emit(json.dumps({"fermion": is_fermion(particle_from_json(obj))}))
-    return 0
+    return [json.dumps({"fermion": is_fermion(particle_from_json(obj))}) + "\n"]
 
 
 def _batched(texts: Iterator[str]) -> Iterator[str]:
@@ -264,7 +235,7 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str
     yield json.dumps(header)[:-1] + ', "levels": ['
     sep = ""
     for js, orbit in walk:
-        text = '["' + '", "'.join([names[j.twice] for j in js]) + '"]'
+        text = _list_text([names[j.twice] for j in js])
         entry = seen.get(orbit)
         if entry is None:
             tail = (
@@ -295,18 +266,16 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str
     yield "]}\n"
 
 
-def cmd_kepler(ns: argparse.Namespace) -> int:
+def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
     walk = _spectrum_walk(ns.z, j_cut, statistics)  # raises before any output
     verdict = kramers_applicability(ns.z, statistics).value
     names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
     if ns.format == "csv":
-        sys.stdout.writelines(_batched(_kepler_csv(names, verdict, walk)))
-    else:
-        header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
-        sys.stdout.writelines(_batched(_kepler_json(header, names, walk)))
-    return 0
+        return _batched(_kepler_csv(names, verdict, walk))
+    header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
+    return _batched(_kepler_json(header, names, walk))
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +320,22 @@ def _compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
     return 1, 1 if check_compatibility(js, j) else -1
 
 
-def _verify_lines(ns: argparse.Namespace) -> Iterator[str]:
+def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     """The audit records, each json.dumps of its record dict plus a newline.
 
     A record is {"input": {...}, "claimed": ..., "actual": ..., "verdict": ...}.
     Its text is spliced with f-strings: the momenta's text is rendered once
     per js tuple, the chain's members once per chain, and projections come
     from a table of twice-integer names.  Every value is a decimal string, a
-    small integer or null, so nothing needs escaping.
+    small integer or null, so nothing needs escaping.  main writes each
+    record as soon as it is rendered, so a reader sees each line at once.
     """
     n, top = _parse_grid(ns.grid)
     if ns.prop in ("univalence", "compat"):
         claim = _univalence_claim if ns.prop == "univalence" else _compat_claim
         names = _names(top.twice)
         for js in _js_tuples(n, top):
-            head = f'{{"input": {{"js": {_list_text(names, [x.twice for x in js])}, "j": "'
+            head = f'{{"input": {{"js": {_list_text([names[x.twice] for x in js])}, "j": "'
             for j in halfint_range(jmin(js), jmax(js)):
                 claimed, actual = claim(js, j)
                 verdict = "agree" if claimed == actual else "diverge"
@@ -387,8 +357,9 @@ def _verify_lines(ns: argparse.Namespace) -> Iterator[str]:
                 for tms, total, audit in first_symmetry_audits(chain):
                     actual = "null" if audit.ratio is None else audit.ratio
                     yield (
-                        f'{head}, "ms": {_list_text(names, tms)}, "m": "{names[total]}"}}, '
-                        f'"claimed": 1, "actual": {actual}, "verdict": "{audit.verdict}"}}\n'
+                        f'{head}, "ms": {_list_text([names[t] for t in tms])}, '
+                        f'"m": "{names[total]}"}}, "claimed": 1, "actual": {actual}, '
+                        f'"verdict": "{audit.verdict}"}}\n'
                     )
             elif chain.total_j.is_half_odd:  # second-sym, kramers
                 for m in projection_range(chain.total_j):
@@ -404,14 +375,6 @@ def _verify_lines(ns: argparse.Namespace) -> Iterator[str]:
                         f'{head}, "m": "{m}"{extra}}}, "claimed": "0", '
                         f'"actual": {{"terms": [{terms}]}}, "verdict": "{verdict}"}}\n'
                     )
-
-
-def cmd_verify(ns: argparse.Namespace) -> int:
-    # one write per record, as soon as it is rendered, so a reader sees each record's line at once
-    write = sys.stdout.write
-    for line in _verify_lines(ns):
-        write(line)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +485,18 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = _shared_parser().parse_args(argv)
     try:
-        code = ns.handler(ns)
+        texts = ns.handler(ns)
+        write = sys.stdout.write
+        for text in texts:
+            write(text)
         sys.stdout.flush()
-        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # downstream consumer closed the pipe (e.g. `| head`); exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return 0
 
 
 if __name__ == "__main__":

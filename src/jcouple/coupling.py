@@ -9,7 +9,6 @@ exported as DOT diagrams.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -247,10 +246,26 @@ def _min_leaf(shape: TreeShape) -> int:
     return min(_min_leaf(shape[0]), _min_leaf(shape[1]))
 
 
+def _post_order(shape: TreeShape) -> list[TreeShape]:
+    """Every node of shape in post-order: left subtree, right subtree, then the node.
+
+    The walk keeps an explicit stack, so a scheme of any depth needs no
+    recursion: it visits each node before its right subtree and that before
+    its left, which is the post-order reversed.
+    """
+    out: list[TreeShape] = []
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, int):
+            stack += node
+    out.reverse()
+    return out
+
+
 def _leaves(shape: TreeShape) -> list[int]:
-    if isinstance(shape, int):
-        return [shape]
-    return _leaves(shape[0]) + _leaves(shape[1])
+    return [node for node in _post_order(shape) if isinstance(node, int)]
 
 
 def _canonical(shape: TreeShape) -> TreeShape:
@@ -396,25 +411,38 @@ def coupling_tree(n: int, index: int, max_leaves: int = 10) -> CouplingTree:
     """enumerate_coupling_trees(n)[index], built alone.
 
     The enumeration order is a mixed-radix number: leaf k has 2k-3 insertion
-    positions and the last leaf is the least significant digit.
+    positions and the last leaf is the least significant digit.  Digit i puts
+    leaf k above the tree's i-th node in pre-order, as _insertions does; the
+    tree is held as its pre-order node list, so each leaf costs O(n) and no
+    step recurses.
     """
     count = count_coupling_trees(n, max_leaves)
     if not 0 <= index < count:
         raise DomainError(f"scheme index {index} out of range 0..{count - 1}")
     digits = []
-    for leaf in range(n, 2, -1):
+    for leaf in range(n, 1, -1):
         index, digit = divmod(index, 2 * leaf - 3)
         digits.append(digit)
-    shape: TreeShape = (1, 2)
-    for leaf, digit in zip(range(3, n + 1), reversed(digits)):
-        shape = next(itertools.islice(_insertions(shape, leaf), digit, None))
+    order: list[Optional[int]] = [1]  # pre-order: a leaf label, or None for a pair
+    for leaf, digit in zip(range(2, n + 1), reversed(digits)):
+        end, open_nodes = digit, 1  # scan node digit's subtree to its end
+        while open_nodes:
+            open_nodes += 1 if order[end] is None else -1
+            end += 1
+        order.insert(end, leaf)  # the new pair's right child, after the subtree
+        order.insert(digit, None)  # the new pair, in the subtree's place
+    stack: list[TreeShape] = []
+    for node in reversed(order):
+        stack.append(node if node is not None else (stack.pop(), stack.pop()))
+    (shape,) = stack
     return CouplingTree(shape)
 
 
 def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:
     """Deterministic DOT digraph; one box per pairing vertex, labels j...m... per edge."""
-    if len(j_labels) != tree.n:
-        raise DomainError(f"expected {tree.n} labels, got {len(j_labels)}")
+    leaves = sorted(tree.leaves())
+    if len(j_labels) != len(leaves):
+        raise DomainError(f"expected {len(leaves)} labels, got {len(j_labels)}")
     for label in j_labels:
         # labels land inside DOT quoted strings, which these would end or escape
         if '"' in label or "\\" in label or "".join(label.splitlines()) != label:
@@ -422,26 +450,25 @@ def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:
                 f"label {short_repr(label)} may not contain a double quote, a backslash "
                 "or a line break"
             )
-    label_of = dict(zip(sorted(tree.leaves()), j_labels))
+    label_of = dict(zip(leaves, j_labels))
     boxes: list[str] = []
     edges: list[tuple[str, str, str]] = []
-
-    def walk(shape: TreeShape) -> tuple[str, str]:
-        """Returns (node id, concatenated leaf label) of the subtree."""
-        if isinstance(shape, int):
-            return f"in{shape}", label_of[shape]
-        left_id, left_label = walk(shape[0])
-        right_id, right_label = walk(shape[1])
+    done: list[tuple[str, str]] = []  # (node id, concatenated leaf label) of each finished subtree
+    for node in _post_order(tree.shape):
+        if isinstance(node, int):
+            done.append((f"in{node}", label_of[node]))
+            continue
+        (left_id, left_label), (right_id, right_label) = done[-2:]
+        del done[-2:]
         box = f"cg{len(boxes) + 1}"
         boxes.append(box)
         edges.append((left_id, box, left_label))
         edges.append((right_id, box, right_label))
-        return box, left_label + right_label
-
-    root_id, root_label = walk(tree.shape)
+        done.append((box, left_label + right_label))
+    ((root_id, root_label),) = done
     edges.append((root_id, "out", root_label))
     lines = ["digraph coupling {", "    rankdir=LR;"]
-    for leaf in sorted(tree.leaves()):
+    for leaf in leaves:
         lines.append(f'    in{leaf} [shape=point, label=""];')
     for box in boxes:
         lines.append(f'    {box} [shape=box, label=""];')

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -211,13 +212,15 @@ class TestDiagramCommand:
         assert code == 1 and "out of range" in err
 
 
-# prints the child's peak RSS in KiB (Linux) to stderr, after running argv if any
-PEAK_RSS_CHILD = """
-import resource, sys
+# prints the child's own peak RSS in KiB (Linux) to stderr, after running argv if any;
+# ru_maxrss would also count the RSS of the process that started it, here pytest's
+PEAK_HWM_CHILD = """
+import sys
 from jcouple.cli import main
 if sys.argv[1:]:
     main(sys.argv[1:])
-sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+with open("/proc/self/status") as status:
+    sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
@@ -267,11 +270,11 @@ class TestNoEnumerationCliff:
         assert code == 0 and err == b""
         assert elapsed < 2.0
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_listing_memory_is_flat(self):
         def peak_kib(*argv):
             run = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
                 timeout=60,
@@ -292,7 +295,7 @@ class TestKeplerCliff:
     The streamed spectrum evaluates each multiset once and writes as it goes.
     """
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     @pytest.mark.parametrize(
         "fmt, max_s, max_mb", [("json", 1.0, 24), ("csv", 0.7, 8)], ids=["json", "csv"]
     )
@@ -300,7 +303,7 @@ class TestKeplerCliff:
         def run(*argv):
             start = time.perf_counter()
             proc = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
                 timeout=60,
@@ -464,16 +467,35 @@ class TestLongChainCliff:
         ]
 
 
-# prints the child's own peak RSS in KiB (Linux) to stderr, after running argv if any;
-# ru_maxrss would also count the RSS of the process that started it, here pytest's
-PEAK_HWM_CHILD = """
-import sys
-from jcouple.cli import main
-if sys.argv[1:]:
-    main(sys.argv[1:])
-with open("/proc/self/status") as status:
-    sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-"""
+class TestDeepSchemeDiagram:
+    """A scheme of any depth is decoded, walked and drawn without recursion.
+
+    Decoding the index, listing the leaves and drawing each recursed once per
+    tree level, so a 1200-leaf diagram under a raised guard ended in a
+    RecursionError traceback.  Scheme 0 is the sequential chain; the last
+    scheme pairs the last two leaves first and nests to the right.
+    """
+
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    def test_twelve_hundred_leaves(self, last):
+        n = 1200
+        index = count_coupling_trees(n, max_leaves=n) - 1 if last else 0
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", "diagram", "--n", str(n), "--scheme", str(index)],
+            capture_output=True,
+            timeout=30,
+            env={**os.environ, "JCOUPLE_MAX_TREES": str(n)},
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stderr == b""
+        assert elapsed < 5.0
+        lines = run.stdout.decode().splitlines()
+        assert (lines[0], lines[-1]) == ("digraph coupling {", "}")
+        assert sum("[shape=box" in line for line in lines) == n - 1
+        first_pair = (n - 1, n) if last else (1, 2)
+        for leaf in first_pair:
+            assert any(line.startswith(f"    in{leaf} -> cg1 ") for line in lines)
 
 
 class TestCoupleCliff:

@@ -12,7 +12,9 @@ under both readings before the overlaps ran on the pruned walk, and the
 five-momentum couple expansions at m=0 and m=-1 before couple stopped
 sorting the walk's terms, and the univalence and compat grids at n=4,
 jmax=2 and the second-sym grid at n=2, jmax=5/2 before verify records were
-written as spliced text; any change to what these commands print, byte
+written as spliced text, and the regge-audit tables in all three formats,
+a classify verdict and the cg and 3j zero values before every subcommand
+returned its text for main to write; any change to what these commands print, byte
 for byte, fails here.  Every error case also checks that nothing reached
 stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -30,6 +32,9 @@ import pytest
 from jcouple.cli import main
 
 CG = ("--j1", "3/2", "--m1", "1/2", "--j2", "1", "--m2", "-1", "--j", "3/2", "--m", "-1/2")
+# a base whose Regge orbit has both verdicts, and a zero coefficient (cg and 3j)
+REGGE = ("--a", "2", "--alpha", "1", "--b", "1", "--beta", "-1", "--c", "1", "--gamma", "0")
+ZERO = ("--j1", "1", "--m1", "0", "--j2", "1", "--m2", "0", "--j", "1", "--m", "0")
 
 GOLDEN = [
     (("cg", *CG), "03e635582e74661916f30f6b0b116a06f697841ae35733a7c338d42c3b0999d8"),
@@ -170,6 +175,20 @@ GOLDEN = [
         ("verify", "--prop", "second-sym", "--grid", "n=2,jmax=5/2"),
         "0deea92dc4544fd57a9bf2c51da2e9a6103f2c6961c8669961e99a94240ca8f9",
     ),
+    (("regge-audit", *REGGE), "8d67f803adb356c54666fa4656f983be48838c5f4a12bb499685d3ccf33c40cd"),
+    (
+        ("regge-audit", *REGGE, "--format", "csv"),
+        "8b73441e5b88bb146703c05bcc0473cb4aa60e79e1547490c51bb58d7effb896",
+    ),
+    (
+        ("regge-audit", *REGGE, "--format", "plain"),
+        "3c0d82fe1344321d5f1174d65da468a7fb90b4965221092aba477780e274ca95",
+    ),
+    (("classify", "[[-1,-1,-1],-1]"), "84617205c01f92ce42e792f675e11ccb6bc2648be6808772078f6f26da0321b5"),
+    (("cg", *ZERO), "9dbe9a5cb694ed18ae8e9f1fc7fc1695cfe62a7bd0cb20dbdf78c2ca08d740b0"),
+    (("cg", *ZERO, "--format", "plain"), "9b7e1c213e3f54ab5f28472f23d8c0c4a22f6e04088a0aa3ce025c4b50c62332"),
+    (("threej", *ZERO), "9dbe9a5cb694ed18ae8e9f1fc7fc1695cfe62a7bd0cb20dbdf78c2ca08d740b0"),
+    (("threej", *ZERO, "--format", "plain"), "9b7e1c213e3f54ab5f28472f23d8c0c4a22f6e04088a0aa3ce025c4b50c62332"),
 ]
 
 
@@ -190,6 +209,8 @@ IDS = [
     "couple-n5-m0", "couple-n5-m-1",
     "verify-univalence-n4-jmax2", "verify-compat-n4-jmax2",
     "verify-second-sym-paper-literal-n2-jmax5/2",
+    "regge-audit-json", "regge-audit-csv", "regge-audit-plain", "classify-boson",
+    "cg-zero-json", "cg-zero-plain", "threej-zero-json", "threej-zero-plain",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
