@@ -74,7 +74,7 @@ def _max_trees() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise DomainError(f"JCOUPLE_MAX_TREES must be an integer, got {raw!r}") from exc
+        raise DomainError(f"JCOUPLE_MAX_TREES must be an integer, got {short_repr(raw)}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,14 @@ def cmd_couple(ns: argparse.Namespace) -> Iterator[str]:
 def cmd_schemes(ns: argparse.Namespace) -> Iterable[str]:
     max_leaves = _max_trees()
     if ns.count_only:
-        return [f"{count_coupling_trees(ns.n, max_leaves=max_leaves)}\n"]
+        count = count_coupling_trees(ns.n, max_leaves=max_leaves)
+        try:
+            return [f"{count}\n"]
+        except ValueError as exc:
+            # past the interpreter's int-to-str digit limit; (2n-3)!! first is at n=1425
+            raise DomainError(
+                f"number out of range, too many digits: the scheme count (2n-3)!! at n={ns.n}"
+            ) from exc
     return itertools.chain(coupling_trees_json(ns.n, max_leaves=max_leaves), ["\n"])
 
 

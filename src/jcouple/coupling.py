@@ -240,41 +240,44 @@ def expand_coupled_state(chain: CouplingChain, total_m: HalfInt) -> StateExpansi
 # coupling trees
 
 
-def _min_leaf(shape: TreeShape) -> int:
-    if isinstance(shape, int):
-        return shape
-    return min(_min_leaf(shape[0]), _min_leaf(shape[1]))
+def _fold(shape, leaf, pair):
+    """leaf(node) at each leaf, pair(left's value, right's value) at each two-item tuple or list.
 
-
-def _post_order(shape: TreeShape) -> list[TreeShape]:
-    """Every node of shape in post-order: left subtree, right subtree, then the node.
-
-    The walk keeps an explicit stack, so a scheme of any depth needs no
-    recursion: it visits each node before its right subtree and that before
-    its left, which is the post-order reversed.
+    The callbacks run in post-order off an explicit stack, so no depth
+    recurses: the first loop lists each node before its right subtree and
+    that before its left, which is the post-order reversed.
     """
-    out: list[TreeShape] = []
+    order = []
     stack = [shape]
     while stack:
         node = stack.pop()
-        out.append(node)
-        if not isinstance(node, int):
+        is_pair = isinstance(node, (tuple, list)) and len(node) == 2
+        order.append((node, is_pair))
+        if is_pair:
             stack += node
-    out.reverse()
-    return out
+    values = []
+    for node, is_pair in reversed(order):
+        if is_pair:
+            values[-2:] = [pair(*values[-2:])]
+        else:
+            values.append(leaf(node))
+    return values.pop()
 
 
-def _leaves(shape: TreeShape) -> list[int]:
-    return [node for node in _post_order(shape) if isinstance(node, int)]
+def _canonical(obj) -> TreeShape:
+    """obj as a shape with the smaller smallest leaf first in each pair, in one O(n) fold."""
 
+    def leaf(node) -> tuple[int, int]:
+        if not isinstance(node, int):
+            raise DomainError(f"tree nodes must be leaf labels or pairs, got {short_repr(node)}")
+        return node, node
 
-def _canonical(shape: TreeShape) -> TreeShape:
-    if isinstance(shape, int):
-        return shape
-    left, right = _canonical(shape[0]), _canonical(shape[1])
-    if _min_leaf(left) > _min_leaf(right):
-        left, right = right, left
-    return (left, right)
+    def pair(left: tuple, right: tuple) -> tuple:
+        if left[1] > right[1]:
+            left, right = right, left
+        return (left[0], right[0]), left[1]
+
+    return _fold(obj, leaf, pair)[0]
 
 
 @dataclass(frozen=True)
@@ -285,33 +288,23 @@ class CouplingTree:
 
     @classmethod
     def from_nested(cls, obj) -> CouplingTree:
-        def build(node) -> TreeShape:
-            if isinstance(node, int):
-                return node
-            if isinstance(node, (list, tuple)) and len(node) == 2:
-                return (build(node[0]), build(node[1]))
-            raise DomainError(f"tree nodes must be leaf labels or pairs, got {node!r}")
-
-        tree = cls(_canonical(build(obj)))
+        tree = cls(_canonical(obj))
         labels = sorted(tree.leaves())
         if labels != list(range(1, len(labels) + 1)):
-            raise DomainError(f"leaves must be labeled 1..n, got {labels}")
+            raise DomainError(f"leaves must be labeled 1..n, got {short_str(labels)}")
         return tree
 
     def leaves(self) -> list[int]:
-        return _leaves(self.shape)
+        out: list[int] = []
+        _fold(self.shape, out.append, lambda left, right: None)
+        return out
 
     @property
     def n(self) -> int:
         return len(self.leaves())
 
     def to_nested(self):
-        def walk(shape: TreeShape):
-            if isinstance(shape, int):
-                return shape
-            return [walk(shape[0]), walk(shape[1])]
-
-        return walk(self.shape)
+        return _fold(self.shape, lambda leaf: leaf, lambda left, right: [left, right])
 
 
 def _insertions(shape: TreeShape, leaf: int) -> Iterator[TreeShape]:
@@ -391,19 +384,24 @@ def _listing_chunks(n: int) -> Iterator[str]:
     # (root, then the left subtree's nodes, then the right's), always as the
     # right child, so the trees grown from one text are "[" + text[a:b] + ", leaf]"
     # spliced in at each span, in the enumeration's order.  The walk is depth
-    # first; each chunk is the children of one tree with n-1 leaves.
-    def walk(text: str, spans: list[tuple[int, int]], leaf: int) -> Iterator[str]:
-        if leaf == n:
-            yield ", ".join([f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}" for a, b in spans])
-            return
-        for i, (a, b) in enumerate(spans):
-            grown = f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}"
-            yield from walk(grown, _grown_spans(spans, i, leaf), leaf + 1)
-
+    # first, one frame per leaf count: a tree, its spans and the next span to
+    # grow at.  Each chunk is the children of one tree with n-1 leaves.
+    frames = [["1", [(0, 1)], 0]]
     separator = "["
-    for chunk in walk("1", [(0, 1)], 2):
-        yield separator + chunk
-        separator = ", "
+    while frames:
+        text, spans, i = frame = frames[-1]
+        leaf = len(frames) + 1
+        if leaf == n:
+            chunk = ", ".join([f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}" for a, b in spans])
+            yield separator + chunk
+            separator = ", "
+        if leaf == n or i == len(spans):
+            frames.pop()
+        else:
+            frame[2] = i + 1
+            a, b = spans[i]
+            grown = f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}"
+            frames.append([grown, _grown_spans(spans, i, leaf), 0])
     yield "]"
 
 
@@ -418,7 +416,9 @@ def coupling_tree(n: int, index: int, max_leaves: int = 10) -> CouplingTree:
     """
     count = count_coupling_trees(n, max_leaves)
     if not 0 <= index < count:
-        raise DomainError(f"scheme index {index} out of range 0..{count - 1}")
+        # the bound is named past 60 digits; past the int-to-str limit str() would raise
+        last = str(count - 1) if count <= 10**60 else "(2n-3)!!-1, too many digits to print"
+        raise DomainError(f"scheme index {short_str(index)} out of range 0..{last}")
     digits = []
     for leaf in range(n, 1, -1):
         index, digit = divmod(index, 2 * leaf - 3)
@@ -453,19 +453,15 @@ def export_dot(tree: CouplingTree, j_labels: Sequence[str]) -> str:
     label_of = dict(zip(leaves, j_labels))
     boxes: list[str] = []
     edges: list[tuple[str, str, str]] = []
-    done: list[tuple[str, str]] = []  # (node id, concatenated leaf label) of each finished subtree
-    for node in _post_order(tree.shape):
-        if isinstance(node, int):
-            done.append((f"in{node}", label_of[node]))
-            continue
-        (left_id, left_label), (right_id, right_label) = done[-2:]
-        del done[-2:]
+
+    def pair(left: tuple[str, str], right: tuple[str, str]) -> tuple[str, str]:
+        # each subtree folds to (node id, concatenated leaf label); boxes number in post-order
         box = f"cg{len(boxes) + 1}"
         boxes.append(box)
-        edges.append((left_id, box, left_label))
-        edges.append((right_id, box, right_label))
-        done.append((box, left_label + right_label))
-    ((root_id, root_label),) = done
+        edges.extend([(left[0], box, left[1]), (right[0], box, right[1])])
+        return box, left[1] + right[1]
+
+    root_id, root_label = _fold(tree.shape, lambda leaf: (f"in{leaf}", label_of[leaf]), pair)
     edges.append((root_id, "out", root_label))
     lines = ["digraph coupling {", "    rankdir=LR;"]
     for leaf in leaves:

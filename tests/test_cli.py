@@ -468,12 +468,14 @@ class TestLongChainCliff:
 
 
 class TestDeepSchemeDiagram:
-    """A scheme of any depth is decoded, walked and drawn without recursion.
+    """A scheme of any depth is decoded, walked, drawn and listed without recursion.
 
     Decoding the index, listing the leaves and drawing each recursed once per
     tree level, so a 1200-leaf diagram under a raised guard ended in a
     RecursionError traceback.  Scheme 0 is the sequential chain; the last
-    scheme pairs the last two leaves first and nests to the right.
+    scheme pairs the last two leaves first and nests to the right.  The
+    listing walk recursed once per leaf, so a 1000-leaf listing failed the
+    same way before its first byte.
     """
 
     @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
@@ -496,6 +498,23 @@ class TestDeepSchemeDiagram:
         first_pair = (n - 1, n) if last else (1, 2)
         for leaf in first_pair:
             assert any(line.startswith(f"    in{leaf} -> cg1 ") for line in lines)
+
+    def test_thousand_leaf_listing_starts(self):
+        start = time.perf_counter()
+        with subprocess.Popen(
+            [sys.executable, "-m", "jcouple", "schemes", "--n", "1000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "JCOUPLE_MAX_TREES": "1200"},
+        ) as child:
+            head = child.stdout.read(4096)
+            elapsed = time.perf_counter() - start
+            running = child.poll() is None  # (2n-3)!! schemes: the listing never ends
+            child.kill()
+            err = child.stderr.read()
+        assert running and err == b""
+        assert len(head) == 4096 and head.startswith(b"[" * 1000 + b"1, 2], 3], ")
+        assert elapsed < 5.0
 
 
 class TestCoupleCliff:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -391,6 +392,66 @@ class TestCouplingTrees:
     def test_bad_labels_rejected(self):
         with pytest.raises(DomainError):
             CouplingTree.from_nested([[1, 2], 4])
+
+
+def _shuffled(nested, rng):
+    """nested with each pair's children swapped at random, each pair a list or a tuple."""
+    if isinstance(nested, int):
+        return nested
+    left, right = _shuffled(nested[0], rng), _shuffled(nested[1], rng)
+    if rng.random() < 0.5:
+        left, right = right, left
+    return rng.choice([list, tuple])([left, right])
+
+
+@st.composite
+def _indexed_schemes(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    return n, draw(st.integers(min_value=0, max_value=count_coupling_trees(n) - 1))
+
+
+class TestNestedRoundTrip:
+    """from_nested orders each pair by smallest leaf, on trees of any depth.
+
+    to_nested, from_nested and the ordering each recursed once per tree
+    level, so a 1200-leaf scheme could not be written out and read back; the
+    ordering also took the smallest leaf of every subtree afresh, O(n^2) on a
+    chain.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(_indexed_schemes(), st.randoms(use_true_random=False))
+    def test_shuffled_children_give_back_the_scheme(self, scheme, rng):
+        tree = coupling_tree(*scheme)
+        assert CouplingTree.from_nested(_shuffled(tree.to_nested(), rng)) == tree
+
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    def test_twelve_hundred_leaves(self, last):
+        # the shapes are compared by their drawings: == on tuples 1200 deep recurses
+        n = 1200
+        tree = coupling_tree(n, count_coupling_trees(n, max_leaves=n) - 1 if last else 0, n)
+        labels = [str(leaf) for leaf in range(1, n + 1)]
+        back = CouplingTree.from_nested(tree.to_nested())
+        assert export_dot(back, labels) == export_dot(tree, labels)
+
+    def test_long_chain_is_read_in_linear_time(self):
+        nested = 1
+        for leaf in range(2, 20_001):
+            nested = [nested, leaf]
+        start = time.perf_counter()
+        tree = CouplingTree.from_nested(nested)
+        assert time.perf_counter() - start < 2.0
+        assert tree.n == 20_000
+
+    def test_malformed_node_is_echoed_short(self):
+        with pytest.raises(DomainError, match=r"pairs, got \[1, 2, 3\]$"):
+            CouplingTree.from_nested([[1, [1, 2, 3]], 2])
+        with pytest.raises(DomainError) as info:
+            CouplingTree.from_nested([1, "x" * 100_000])
+        assert len(str(info.value)) < 200
+        with pytest.raises(DomainError) as info:
+            CouplingTree.from_nested([1, list(range(3, 100_000))[::-1]])
+        assert len(str(info.value)) < 200
 
 
 class TestCouplingTreeIndex:

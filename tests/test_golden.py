@@ -21,7 +21,10 @@ messages pin the wording of the DOT label check and of the shared (j, m)
 validity rule; the classify case pins the one-line error for nesting deeper
 than the JSON parser accepts (it printed a RecursionError traceback before),
 and the 5000-digit projection case the out-of-range wording for a number
-past the interpreter's int-to-str digit limit.
+past the interpreter's int-to-str digit limit.  The last three cases pin the
+cut echo of a long JCOUPLE_MAX_TREES and the wording for a scheme count past
+that digit limit ((2n-3)!! first is at n=1425), which ended in a ValueError
+traceback before.
 Everything runs in-process and takes well under a second.
 """
 
@@ -286,6 +289,21 @@ GOLDEN_ERRORS = [
         None,
         ("couple", "--js", "1,1", "--j", "2", "--m", "7" * 5000),
         f"error: number out of range, too many digits: '{'7' * 59}... (5002 characters)\n",
+    ),
+    (
+        "x" * 300,
+        ("diagram", "--n", "3"),
+        f"error: JCOUPLE_MAX_TREES must be an integer, got '{'x' * 59}... (302 characters)\n",
+    ),
+    (
+        "5000",
+        ("schemes", "--n", "3000", "--count-only"),
+        "error: number out of range, too many digits: the scheme count (2n-3)!! at n=3000\n",
+    ),
+    (
+        "5000",
+        ("diagram", "--n", "3000", "--scheme", "-1"),
+        "error: scheme index -1 out of range 0..(2n-3)!!-1, too many digits to print\n",
     ),
 ]
 
