@@ -208,53 +208,23 @@ def _energy_fields(energy: Fraction) -> str:
     )
 
 
-def _kepler_csv(names: list[str], verdict: str, walk: Iterator) -> Iterator[str]:
-    """The kepler table, one row per level; each orbit's columns are rendered once.
-
-    No field can hold a comma, a quote or a line break, so csv.writer would
-    quote none of them and the rows are plain joins.
-    """
-    yield "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
-    tails: dict = {}  # orbit -> its row after the tuple column
-    for js, orbit in walk:
-        tail = tails.get(orbit)
-        if tail is None:
-            energy = orbit.energy
-            tail = tails[orbit] = (
-                f",{energy.numerator},{energy.denominator},{orbit.degeneracy_paper},"
-                f"{orbit.degeneracy_enumerated},{verdict}\n"
-            )
-        yield ";".join([names[j.twice] for j in js]) + tail
-
-
-def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str]:
+def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -> Iterator[str]:
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
-    Each orbit's members after "js" are rendered once and spliced after every
-    tuple's "js" text; they are decimal strings, integers, a float and a
-    bool, rendered here as json.dumps writes them because a json.dumps call
-    per orbit costs more than the rest of the orbit's work.  The merged
-    groups keep the "js" texts in walk order, so each group lists its tuples
-    in product order, and sum the counts once per tuple.
+    Each multiset's level text after "js" is spliced after every tuple's "js"
+    text.  groups is {energy: [js texts in walk order, deg_paper sum, deg_enum
+    sum]}; level_tail in cmd_kepler makes each entry once per multiset (a
+    lookup per tuple would hash a Fraction per ordering, about half again the
+    time of z=4, jcut=15/2) and this loop fills it, so each merged group
+    lists its tuples in product order and sums the counts once per tuple.
     """
-    seen: dict = {}  # orbit -> (its level text after "js", its energy's group)
-    groups: dict[Fraction, tuple[list[str], list]] = {}  # energy -> (js texts, orbit of each)
     yield json.dumps(header)[:-1] + ', "levels": ['
     sep = ""
-    for js, orbit in walk:
+    for js, (tail, group, paper, enum) in walk:
         text = _list_text([names[j.twice] for j in js])
-        entry = seen.get(orbit)
-        if entry is None:
-            tail = (
-                f", {_energy_fields(orbit.energy)}, "
-                f'"deg_paper": {orbit.degeneracy_paper}, '
-                f'"deg_enum": {orbit.degeneracy_enumerated}, '
-                f'"diverges": {"true" if orbit.diverges else "false"}}}'
-            )
-            entry = seen[orbit] = (tail, groups.setdefault(orbit.energy, ([], [])))
-        tail, (texts, members) = entry
-        texts.append(text)
-        members.append(orbit)
+        group[0].append(text)
+        group[1] += paper
+        group[2] += enum
         yield f'{sep}{{"js": {text}{tail}'
         sep = ", "
     yield '], "merged": ['
@@ -262,11 +232,9 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str
     # float() rounds monotonically, so it never orders two energies against
     # their exact order; equal floats fall back to the exact comparison
     for energy in sorted(groups, key=lambda e: (float(e), e)):
-        texts, members = groups[energy]
+        texts, paper, enum = groups[energy]
         yield (
-            f"{sep}{{{_energy_fields(energy)}, "
-            f'"deg_paper": {sum(o.degeneracy_paper for o in members)}, '
-            f'"deg_enum": {sum(o.degeneracy_enumerated for o in members)}, '
+            f'{sep}{{{_energy_fields(energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
             f'"tuples": [{", ".join(texts)}]}}'
         )
         sep = ", "
@@ -274,15 +242,41 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator) -> Iterator[str
 
 
 def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
+    """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
+
+    The walk calls row_tail or level_tail once per multiset and yields its
+    result with every ordering.  The fields are decimal strings, integers,
+    a float and a bool, rendered as csv.writer and json.dumps write them
+    (no csv field needs quoting), because a json.dumps call per multiset
+    costs more than the rest of its work.
+    """
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
-    walk = _spectrum_walk(ns.z, j_cut, statistics)  # raises before any output
+    # refuses z < 1 in the walk's words, so every refusal still precedes any output
     verdict = kramers_applicability(ns.z, statistics).value
-    names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
     if ns.format == "csv":
-        return _batched(_kepler_csv(names, verdict, walk))
+
+        def row_tail(energy: Fraction, paper: int, enum: int) -> str:
+            return f",{energy.numerator},{energy.denominator},{paper},{enum},{verdict}\n"
+
+        walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail)  # refuses before names is built
+        names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
+        rows = (";".join([names[j.twice] for j in js]) + tail for js, tail in walk)
+        header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
+        return _batched(itertools.chain([header], rows))
+    groups: dict[Fraction, list] = {}
+
+    def level_tail(energy: Fraction, paper: int, enum: int) -> tuple:
+        tail = (
+            f', {_energy_fields(energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
+            f'"diverges": {"true" if paper != enum else "false"}}}'
+        )
+        return tail, groups.setdefault(energy, [[], 0, 0]), paper, enum
+
+    walk = _spectrum_walk(ns.z, j_cut, statistics, level_tail)  # refuses before names is built
+    names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
     header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
-    return _batched(_kepler_json(header, names, walk))
+    return _batched(_kepler_json(header, names, walk, groups))
 
 
 # ---------------------------------------------------------------------------

@@ -245,15 +245,21 @@ def _fold(shape, leaf, pair):
 
     The callbacks run in post-order off an explicit stack, so no depth
     recurses: the first loop lists each node before its right subtree and
-    that before its left, which is the post-order reversed.
+    that before its left, which is the post-order reversed.  A pair object
+    met twice is refused: a tree has distinct leaves, so its pairs are
+    distinct objects, and a cyclic list would otherwise be walked forever.
     """
     order = []
+    pushed = set()  # ids of the pairs met so far; each stays alive inside shape
     stack = [shape]
     while stack:
         node = stack.pop()
         is_pair = isinstance(node, (tuple, list)) and len(node) == 2
         order.append((node, is_pair))
         if is_pair:
+            if id(node) in pushed:
+                raise DomainError(f"tree nodes must not repeat, got {short_repr(node)} twice")
+            pushed.add(id(node))
             stack += node
     values = []
     for node, is_pair in reversed(order):

@@ -14,9 +14,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from .numerics import DomainError, GaussianRational, HalfInt, SparseSum
+from .numerics import DomainError, GaussianRational, HalfInt, SparseSum, short_str
+
+T = TypeVar("T")
 
 _EPSILON = {
     (1, 2, 3): 1,
@@ -232,37 +234,22 @@ class MergedKeplerLevel:
     js_tuples: tuple[tuple[HalfInt, ...], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _Orbit:
-    """Energy and both counts shared by every ordering of one multiset of j values.
-
-    Compared and hashed by identity: the walk makes one record per multiset.
-    """
-
-    energy: Fraction
-    degeneracy_paper: int
-    degeneracy_enumerated: int
-
-    @property
-    def diverges(self) -> bool:
-        return self.degeneracy_paper != self.degeneracy_enumerated
-
-
 def _spectrum_walk(
-    z: int, j_cut: HalfInt, statistics: Statistics
-) -> Iterator[tuple[tuple[HalfInt, ...], _Orbit]]:
-    """Every j-tuple with all j <= j_cut in lexicographic order, with its orbit record.
+    z: int, j_cut: HalfInt, statistics: Statistics, make: Callable[[Fraction, int, int], T]
+) -> Iterator[tuple[tuple[HalfInt, ...], T]]:
+    """Every j-tuple with all j <= j_cut in lexicographic order, with its multiset's record.
 
     The energy and both counts are symmetric in the tuple, so they are
-    evaluated once per sorted tuple of ``twice`` values (the orbit key) and
-    the record is shared by all its orderings; ``energy_level`` runs once
-    per j value.  The arguments and the guard are checked here, before the
-    first tuple.
+    evaluated once per sorted tuple of ``twice`` values: ``make(energy,
+    deg_paper, deg_enum)`` runs once per such multiset, and its result,
+    which must not be None, is kept and yielded with every ordering.
+    ``energy_level`` runs once per j value.  The arguments and the guard are
+    checked here, before the first tuple.
     """
     if z < 1:
         raise DomainError("need at least one particle")
     if j_cut.twice < 0:
-        raise DomainError(f"cutoff must be nonnegative, got {j_cut}")
+        raise DomainError(f"cutoff must be nonnegative, got {short_str(j_cut)}")
     # count the entries built, z per level times (2jcut+1)**z levels, one
     # factor at a time so a huge request stops before forming the power
     levels = 1
@@ -270,35 +257,33 @@ def _spectrum_walk(
         levels *= j_cut.twice + 1
         if z * levels > 10**6:
             raise DomainError("spectrum request exceeds the enumeration guard")
-    return _walk(z, j_cut.twice, statistics)
+    return _walk(z, j_cut.twice, statistics, make)
 
 
 def _walk(
-    z: int, twice_cut: int, statistics: Statistics
-) -> Iterator[tuple[tuple[HalfInt, ...], _Orbit]]:
+    z: int, twice_cut: int, statistics: Statistics, make: Callable[[Fraction, int, int], T]
+) -> Iterator[tuple[tuple[HalfInt, ...], T]]:
     values = [HalfInt(t) for t in range(twice_cut + 1)]
     energies = [energy_level(j) for j in values]  # indexed by j.twice
-    orbits: dict[tuple[int, ...], _Orbit] = {}
+    records: dict[tuple[int, ...], T] = {}
     for js in itertools.product(values, repeat=z):
         key = tuple(sorted([j.twice for j in js]))
-        orbit = orbits.get(key)
-        if orbit is None:
-            orbit = orbits[key] = _Orbit(
+        record = records.get(key)
+        if record is None:
+            record = records[key] = make(
                 # starting from the first term spares one Fraction addition
                 sum([energies[t] for t in key[1:]], energies[key[0]]),
                 degeneracy_paper(js, statistics),
                 degeneracy_enumerated(js, statistics),
             )
-        yield js, orbit
+        yield js, record
 
 
 def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel]:
     """One level per j-tuple with all j <= j_cut, in lexicographic tuple order."""
     return [
-        KeplerLevel(
-            js, orbit.energy, orbit.degeneracy_paper, orbit.degeneracy_enumerated, statistics
-        )
-        for js, orbit in _spectrum_walk(z, j_cut, statistics)
+        KeplerLevel(js, *fields, statistics)
+        for js, fields in _spectrum_walk(z, j_cut, statistics, lambda *fields: fields)
     ]
 
 

@@ -30,7 +30,11 @@ def short_str(obj) -> str:
 
 def short_repr(obj) -> str:
     """repr(obj) cut at 60 characters, as short_str cuts str."""
-    return short_str(repr(obj))
+    try:
+        return short_str(repr(obj))
+    except RecursionError:
+        # repr recurses once per nesting level; an echo must not fail the error it is in
+        return f"<{type(obj).__name__} nested too deeply to print>"
 
 
 # ---------------------------------------------------------------------------

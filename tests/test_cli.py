@@ -223,6 +223,15 @@ with open("/proc/self/status") as status:
     sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
+# runs main under a 256 MB address-space cap, so a request that tries to build
+# a huge table fails with this child's MemoryError, not the test run's
+CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from jcouple.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 class TestNoEnumerationCliff:
     """At the guard (n=10, 34,459,425 schemes), building every tree would take about 11 GB.
@@ -292,7 +301,8 @@ class TestKeplerCliff:
 
     Building every level before one json.dumps took about 2.3 s and peaked
     about 140 MB above the import floor for json (1.4 s and 25 MB for csv).
-    The streamed spectrum evaluates each multiset once and writes as it goes.
+    The streamed spectrum evaluates each multiset once and writes as it goes,
+    keeping one record per multiset.
     """
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -316,6 +326,42 @@ class TestKeplerCliff:
         elapsed, peak = run(*argv)
         assert elapsed < max_s
         assert peak - floor < max_mb * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_one_record_per_multiset(self):
+        # at z=1 each of the 100,000 levels is its own multiset, so the walk's
+        # memo holds one csv row tail per level; a second memo of row tails
+        # keyed by a per-multiset record peaked about 72 MB above the floor,
+        # one memo about 54 MB (Python 3.11); the bound sits between the two
+        # to leave room for other versions' object sizes
+        def peak_kib(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+            assert proc.returncode == 0
+            return int(proc.stderr)
+
+        floor = peak_kib()
+        argv = ["kepler", "--z", "1", "--jcut", "99999/2", "--stats", "boson", "--format", "csv"]
+        assert peak_kib(*argv) - floor < 63 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_huge_cutoff_is_refused_at_once(self, fmt):
+        # 2*10^12 + 1 j values: the guard must refuse before a table of their
+        # names is built, which under the 256 MB cap ends in MemoryError
+        argv = ["kepler", "--z", "1", "--jcut", "1000000000000", "--stats", "boson"]
+        run = subprocess.run(
+            [sys.executable, "-c", CAPPED_CHILD, *argv, "--format", fmt],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "error: spectrum request exceeds the enumeration guard\n"
 
 
 class TestClassifyCommand:

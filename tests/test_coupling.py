@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -452,6 +454,59 @@ class TestNestedRoundTrip:
         with pytest.raises(DomainError) as info:
             CouplingTree.from_nested([1, list(range(3, 100_000))[::-1]])
         assert len(str(info.value)) < 200
+
+
+# reads a cyclic nested list as a tree under a 256 MB address-space cap, so a
+# walk that never ends stops with this child's MemoryError, not the test run's
+CYCLIC_CHILD = """
+import resource
+from jcouple.coupling import CouplingTree
+from jcouple.numerics import DomainError
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+a = [1]
+a.append(a)
+try:
+    CouplingTree.from_nested(a)
+except DomainError as exc:
+    print(exc)
+"""
+
+
+class TestRepeatedNode:
+    """A pair object met twice in one walk is refused with a short echo.
+
+    A tree's leaves are distinct, so none of its pairs is one object twice;
+    a list that contains itself would otherwise be walked until memory ran out.
+    """
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+    def test_cyclic_list_is_refused(self):
+        run = subprocess.run(
+            [sys.executable, "-c", CYCLIC_CHILD], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr[-300:]
+        assert run.stdout == "tree nodes must not repeat, got [1, [...]] twice\n"
+
+    def test_shared_pair_is_refused(self):
+        pair = [1, 2]
+        with pytest.raises(DomainError, match=r"^tree nodes must not repeat, got \[1, 2\] twice$"):
+            CouplingTree.from_nested([pair, pair])
+
+    def test_deep_shared_pair_is_echoed_without_recursion(self):
+        deep = [1, 2]
+        for leaf in range(3, 1300):
+            deep = [deep, leaf]
+        with pytest.raises(DomainError, match=r"got <list nested too deeply to print> twice$"):
+            CouplingTree.from_nested([deep, deep])
+        # the malformed-node echo went through the same repr (a RecursionError before)
+        with pytest.raises(DomainError, match=r"pairs, got <list nested too deeply to print>$"):
+            CouplingTree.from_nested([1, [deep, 3, 4]])
+
+    def test_equal_but_distinct_pairs_keep_the_label_message(self):
+        # two list objects with the same items: only the labels are wrong
+        message = r"^leaves must be labeled 1\.\.n, got \[1, 1, 2, 2\]$"
+        with pytest.raises(DomainError, match=message):
+            CouplingTree.from_nested([[1, 2], [1, 2]])
 
 
 class TestCouplingTreeIndex:

@@ -24,7 +24,11 @@ and the 5000-digit projection case the out-of-range wording for a number
 past the interpreter's int-to-str digit limit.  The last three cases pin the
 cut echo of a long JCOUPLE_MAX_TREES and the wording for a scheme count past
 that digit limit ((2n-3)!! first is at n=1425), which ended in a ValueError
-traceback before.
+traceback before.  The next case pins the cut echo of a 4001-character
+negative kepler cutoff (the whole argument was echoed before); the grid and
+momentum-list refusals of verify and couple after it, and the digest of a
+grid with an empty entry, which is skipped, were recorded before the kepler
+walk took over the per-multiset memo.
 Everything runs in-process and takes well under a second.
 """
 
@@ -192,6 +196,10 @@ GOLDEN = [
     (("cg", *ZERO, "--format", "plain"), "9b7e1c213e3f54ab5f28472f23d8c0c4a22f6e04088a0aa3ce025c4b50c62332"),
     (("threej", *ZERO), "9dbe9a5cb694ed18ae8e9f1fc7fc1695cfe62a7bd0cb20dbdf78c2ca08d740b0"),
     (("threej", *ZERO, "--format", "plain"), "9b7e1c213e3f54ab5f28472f23d8c0c4a22f6e04088a0aa3ce025c4b50c62332"),
+    (
+        ("verify", "--prop", "univalence", "--grid", "n=2,,jmax=0"),
+        "d85e4ee6a169c1f7ca67ccbb24eec90bc6b0cd7ba297055a7bf15eff9b465ef4",
+    ),
 ]
 
 
@@ -214,6 +222,7 @@ IDS = [
     "verify-second-sym-paper-literal-n2-jmax5/2",
     "regge-audit-json", "regge-audit-csv", "regge-audit-plain", "classify-boson",
     "cg-zero-json", "cg-zero-plain", "threej-zero-json", "threej-zero-plain",
+    "verify-univalence-grid-empty-chunk",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
@@ -304,6 +313,36 @@ GOLDEN_ERRORS = [
         "5000",
         ("diagram", "--n", "3000", "--scheme", "-1"),
         "error: scheme index -1 out of range 0..(2n-3)!!-1, too many digits to print\n",
+    ),
+    (
+        None,
+        ("kepler", "--z", "1", "--jcut", "-" + "9" * 4000, "--stats", "boson"),
+        f"error: cutoff must be nonnegative, got -{'9' * 59}... (4001 characters)\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=2,jmax"),
+        "error: grid entries look like key=value, got 'jmax'\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=two,jmax=1"),
+        "error: grid n must be an integer, got 'two'\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=1,jmax=1"),
+        "error: grid needs n >= 2 and jmax >= 0\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=2,jmax=-1/2"),
+        "error: grid needs n >= 2 and jmax >= 0\n",
+    ),
+    (
+        None,
+        ("couple", "--js", ",", "--j", "0", "--m", "0"),
+        "error: expected a comma-separated list of momenta\n",
     ),
 ]
 

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from jcouple.kepler import (
     LieBasisElement,
     LieExpression,
     Statistics,
+    _spectrum_walk,
     basis_commutator,
     commutator,
     degeneracy_enumerated,
@@ -264,6 +266,37 @@ class TestStreamedSpectrum:
             ]
             for level in spectrum(z, HalfInt(twice_cut), statistics)
         ]
+
+
+class TestOncePerMultiset:
+    """The walk calls make once per multiset of j values and hands its result
+    to every ordering: C(2 jcut + z, z) calls over (2 jcut + 1)^z tuples."""
+
+    @pytest.mark.parametrize(
+        "z, twice_cut, statistics",
+        [
+            (z, twice_cut, statistics)
+            for z in (1, 2, 3, 4)
+            for twice_cut in range(5)
+            for statistics in Statistics
+        ],
+    )
+    def test_make_runs_once_per_multiset(self, z, twice_cut, statistics):
+        j_cut = HalfInt(twice_cut)
+        made = []
+
+        def make(energy, paper, enum):
+            made.append((energy, paper, enum))
+            return made[-1]
+
+        walk = list(_spectrum_walk(z, j_cut, statistics, make))
+        assert len(made) == math.comb(twice_cut + z, z)
+        assert len(walk) == (twice_cut + 1) ** z
+        by_multiset = {}
+        for js, record in walk:
+            assert by_multiset.setdefault(tuple(sorted(js)), record) is record
+        assert len(by_multiset) == len(made)
+        assert spectrum(z, j_cut, statistics) == reference_spectrum(z, j_cut, statistics)
 
 
 class TestKramers:
