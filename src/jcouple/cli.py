@@ -38,6 +38,7 @@ from .kepler import Statistics, _spectrum_walk, kramers_applicability
 from .numerics import (
     DomainError,
     HalfInt,
+    check_table_size,
     halfint_range,
     parse_halfint,
     projection_range,
@@ -303,6 +304,7 @@ def _parse_grid(text: str) -> tuple[int, HalfInt]:
     top = parse_halfint(pairs["jmax"])
     if n < 2 or top.twice < 0:
         raise DomainError("grid needs n >= 2 and jmax >= 0")
+    check_table_size(n, top.twice + 1, "grid")  # n per js tuple, (2jmax+1)**n tuples
     return n, top
 
 

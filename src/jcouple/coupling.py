@@ -286,11 +286,31 @@ def _canonical(obj) -> TreeShape:
     return _fold(obj, leaf, pair)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CouplingTree:
-    """Rooted binary coupling scheme: n labeled leaves, unordered children."""
+    """Rooted binary coupling scheme: n labeled leaves, unordered children.
+
+    ==, hash and repr work from the shape's tuple text, rendered by one fold,
+    so they reach any depth; CPython compares and prints nested tuples
+    recursively.
+    """
 
     shape: TreeShape
+
+    def _text(self) -> str:
+        """repr(self.shape), without recursion."""
+        return _fold(self.shape, repr, lambda left, right: f"({left}, {right})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._text() == other._text()
+
+    def __hash__(self) -> int:
+        return hash(self._text())
+
+    def __repr__(self) -> str:
+        return f"CouplingTree(shape={self._text()})"
 
     @classmethod
     def from_nested(cls, obj) -> CouplingTree:
@@ -368,7 +388,11 @@ def coupling_trees_json(n: int, max_leaves: int = 10) -> Iterator[str]:
     return _listing_chunks(n)
 
 
-def _grown_spans(spans: list[tuple[int, int]], i: int, leaf: int) -> list[tuple[int, int]]:
+# characters of skeletons and templates one listing keeps before it drops them all
+_LISTING_MEMO_CHARS = 1 << 21
+
+
+def _grown_spans(spans: list[tuple[int, int]], i: int, leaf: str) -> list[tuple[int, int]]:
     """Node spans of the text after leaf is spliced in above node i (see _listing_chunks)."""
     a, b = spans[i]
     shift = len(f"[, {leaf}]")
@@ -385,29 +409,67 @@ def _grown_spans(spans: list[tuple[int, int]], i: int, leaf: int) -> list[tuple[
 
 
 def _listing_chunks(n: int) -> Iterator[str]:
-    # A tree is held as its JSON text plus the (start, end) span of every node
-    # in pre-order.  _insertions puts the new leaf above each node in pre-order
-    # (root, then the left subtree's nodes, then the right's), always as the
-    # right child, so the trees grown from one text are "[" + text[a:b] + ", leaf]"
-    # spliced in at each span, in the enumeration's order.  The walk is depth
-    # first, one frame per leaf count: a tree, its spans and the next span to
-    # grow at.  Each chunk is the children of one tree with n-1 leaves.
-    frames = [["1", [(0, 1)], 0]]
+    # A tree is held as its skeleton, its JSON text with %s at each leaf, plus
+    # its leaf labels in text order.  _insertions puts the new leaf above each
+    # node in pre-order (root, then the left subtree's nodes, then the right's),
+    # always as the right child, so the skeletons grown from one skeleton are
+    # "[" + s[a:b] + ", %s]" spliced in at each node span (a, b), in the
+    # enumeration's order, and the new label follows the labels left of b.
+    # Each chunk is the children of one tree with n-1 leaves: the template of
+    # its skeleton (those children, with the literal n as the new leaf) % its
+    # labels once per child.  Many trees share a skeleton (at n=8, 10,395 trees
+    # with seven leaves share 132), so the memo maps a skeleton to its template,
+    # or to its spans and child skeletons, until the text it holds passes
+    # _LISTING_MEMO_CHARS and it is dropped whole.  The walk is depth first,
+    # one frame per leaf count: a skeleton, its labels, the next span to grow
+    # at and its memo value, which the frame keeps when the memo is dropped.
+    memo: dict[str, Union[str, tuple]] = {}
+    stored = 0
+    copies = 2 * n - 3  # the children of a tree with n-1 leaves
+
+    def value_of(skeleton: str, spans: list[tuple[int, int]]) -> Union[str, tuple]:
+        nonlocal stored
+        if len(spans) == copies:
+            value = ", ".join(
+                [f"{skeleton[:a]}[{skeleton[a:b]}, {n}]{skeleton[b:]}" for a, b in spans]
+            )
+            stored += len(skeleton) + len(value)
+        else:
+            # the child skeletons are built as the walk first reaches each, and counted now
+            value = (spans, [None] * len(spans))
+            stored += len(skeleton) + len(spans) * (len(skeleton) + len("[, %s]"))
+        memo[skeleton] = value
+        if stored > _LISTING_MEMO_CHARS:
+            memo.clear()
+            stored = 0
+        return value
+
+    frames = [["%s", ("1",), 0, value_of("%s", [(0, 2)])]]
     separator = "["
     while frames:
-        text, spans, i = frame = frames[-1]
-        leaf = len(frames) + 1
-        if leaf == n:
-            chunk = ", ".join([f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}" for a, b in spans])
-            yield separator + chunk
+        skeleton, labels, i, value = frame = frames[-1]
+        if type(value) is str:
+            yield separator + value % (labels * copies)
             separator = ", "
-        if leaf == n or i == len(spans):
             frames.pop()
-        else:
-            frame[2] = i + 1
+            continue
+        spans, kids = value
+        if i == len(spans):
+            frames.pop()
+            continue
+        frame[2] = i + 1
+        kid = kids[i]
+        if kid is None:
             a, b = spans[i]
-            grown = f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}"
-            frames.append([grown, _grown_spans(spans, i, leaf), 0])
+            kid = kids[i] = (
+                f"{skeleton[:a]}[{skeleton[a:b]}, %s]{skeleton[b:]}",
+                skeleton.count("%", 0, b),
+            )
+        child, k = kid
+        grown = memo.get(child)
+        if grown is None:
+            grown = value_of(child, _grown_spans(spans, i, "%s"))
+        frames.append([child, labels[:k] + (str(len(labels) + 1),) + labels[k:], 0, grown])
     yield "]"
 
 

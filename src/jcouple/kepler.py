@@ -16,7 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .numerics import DomainError, GaussianRational, HalfInt, SparseSum, short_str
+from .numerics import (
+    DomainError,
+    GaussianRational,
+    HalfInt,
+    SparseSum,
+    check_table_size,
+    short_str,
+)
 
 T = TypeVar("T")
 
@@ -250,13 +257,7 @@ def _spectrum_walk(
         raise DomainError("need at least one particle")
     if j_cut.twice < 0:
         raise DomainError(f"cutoff must be nonnegative, got {short_str(j_cut)}")
-    # count the entries built, z per level times (2jcut+1)**z levels, one
-    # factor at a time so a huge request stops before forming the power
-    levels = 1
-    for _ in range(z):
-        levels *= j_cut.twice + 1
-        if z * levels > 10**6:
-            raise DomainError("spectrum request exceeds the enumeration guard")
+    check_table_size(z, j_cut.twice + 1, "spectrum")  # z per level, (2jcut+1)**z levels
     return _walk(z, j_cut.twice, statistics, make)
 
 

@@ -149,6 +149,20 @@ def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
         )
 
 
+def check_table_size(width: int, base: int, name: str) -> None:
+    """The bound on kepler's and verify's tables: width * base**width entries, at most 10**6.
+
+    The entries are counted one factor at a time, so a huge request stops
+    before the power is formed; past the bound it is refused as "<name>
+    request exceeds the enumeration guard".
+    """
+    rows = 1
+    for _ in range(width):
+        rows *= base
+        if width * rows > 10**6:
+            raise DomainError(f"{name} request exceeds the enumeration guard")
+
+
 # ---------------------------------------------------------------------------
 # quadratic surds
 

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from jcouple import cli
 from jcouple.cli import main
 from jcouple.coupling import count_coupling_trees
+from jcouple.numerics import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -668,6 +670,25 @@ class TestVerifyCommand:
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--prop", "compat", "--grid", "n=2")
         assert code == 1 and "grid" in err
+
+    @pytest.mark.parametrize(
+        "grid, entries",
+        [
+            ("n=2,jmax=353", 2 * 707**2),
+            ("n=2,jmax=707/2", 2 * 708**2),
+            ("n=1000000,jmax=0", 10**6),
+            ("n=1000001,jmax=0", 10**6 + 1),
+            ("n=5,jmax=7", 5 * 15**5),
+            ("n=6,jmax=7", 6 * 15**6),
+        ],
+    )
+    def test_grid_guard_bound(self, grid, entries):
+        # n * (2 jmax + 1)**n js-tuple entries are allowed up to 10**6, the kepler bound
+        if entries <= 10**6:
+            assert cli._parse_grid(grid)[0] == int(grid.split(",")[0][2:])
+        else:
+            with pytest.raises(DomainError, match="^grid request exceeds the enumeration guard$"):
+                cli._parse_grid(grid)
 
 
 class TestKeplerCommand:

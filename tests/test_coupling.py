@@ -396,6 +396,40 @@ class TestCouplingTrees:
             CouplingTree.from_nested([[1, 2], 4])
 
 
+class TestTreeIdentity:
+    """==, hash and repr of CouplingTree, from the shape's tuple text rendered by one fold.
+
+    The dataclass versions compared and printed the nested tuple, which
+    CPython does recursively, so both raised RecursionError on a 1200-leaf
+    chain.
+    """
+
+    def test_repr_is_the_dataclass_repr(self):
+        for n in range(2, 7):
+            for tree in enumerate_coupling_trees(n):
+                assert repr(tree) == f"CouplingTree(shape={tree.shape!r})"
+
+    def test_equality_agrees_with_tuple_equality(self):
+        trees = enumerate_coupling_trees(5)
+        decoded = [coupling_tree(5, k) for k in range(len(trees))]  # equal, distinct objects
+        for a in trees:
+            for b in decoded:
+                assert (a == b) is (a.shape == b.shape)
+                assert (a != b) is (a.shape != b.shape)
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert trees[0] != trees[0].shape
+
+    def test_twelve_hundred_leaves(self):
+        n = 1200
+        chain = coupling_tree(n, 0, max_leaves=n)
+        assert chain == coupling_tree(n, 0, max_leaves=n)
+        assert hash(chain) == hash(coupling_tree(n, 0, max_leaves=n))
+        assert chain != coupling_tree(n, 1, max_leaves=n)
+        text = "(" * (n - 1) + "1, 2)" + "".join(f", {leaf})" for leaf in range(3, n + 1))
+        assert repr(chain) == f"CouplingTree(shape={text})"
+
+
 def _shuffled(nested, rng):
     """nested with each pair's children swapped at random, each pair a list or a tuple."""
     if isinstance(nested, int):
@@ -429,11 +463,11 @@ class TestNestedRoundTrip:
 
     @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
     def test_twelve_hundred_leaves(self, last):
-        # the shapes are compared by their drawings: == on tuples 1200 deep recurses
         n = 1200
         tree = coupling_tree(n, count_coupling_trees(n, max_leaves=n) - 1 if last else 0, n)
         labels = [str(leaf) for leaf in range(1, n + 1)]
         back = CouplingTree.from_nested(tree.to_nested())
+        assert back == tree
         assert export_dot(back, labels) == export_dot(tree, labels)
 
     def test_long_chain_is_read_in_linear_time(self):
@@ -552,6 +586,100 @@ class TestCouplingTreesJson:
         for n in range(2, 9):
             expected = json.dumps([t.shape for t in enumerate_coupling_trees(n)])
             assert "".join(coupling_trees_json(n)) == expected
+
+
+def _reference_spans(spans, i, leaf):
+    """Node spans of the text after leaf is spliced in above node i."""
+    a, b = spans[i]
+    shift = len(f"[, {leaf}]")
+    j = i + 1
+    while j < len(spans) and spans[j][0] < b:  # node i's descendants
+        j += 1
+    return (
+        [(s, e + shift if e > b else e) for s, e in spans[:i]]  # ancestors grow
+        + [(a, b + shift)]  # the new pair
+        + [(s + 1, e + 1) for s, e in spans[i:j]]  # node i's subtree, its left child
+        + [(b + 3, b + shift - 1)]  # the leaf, its right child, after ", "
+        + [(s + shift, e + shift) for s, e in spans[j:]]
+    )
+
+
+def _reference_listing(n):
+    """The listing as text spliced at node spans, one f-string per tree.
+
+    A tree is its JSON text plus the (start, end) span of every node in
+    pre-order; its children are "[" + text[a:b] + ", leaf]" spliced in at each
+    span.  Each chunk is the children of one tree with n-1 leaves.
+    """
+    frames = [["1", [(0, 1)], 0]]
+    separator = "["
+    while frames:
+        text, spans, i = frame = frames[-1]
+        leaf = len(frames) + 1
+        if leaf == n:
+            chunk = ", ".join([f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}" for a, b in spans])
+            yield separator + chunk
+            separator = ", "
+        if leaf == n or i == len(spans):
+            frames.pop()
+        else:
+            frame[2] = i + 1
+            a, b = spans[i]
+            grown = f"{text[:a]}[{text[a:b]}, {leaf}]{text[b:]}"
+            frames.append([grown, _reference_spans(spans, i, leaf), 0])
+    yield "]"
+
+
+# streams the n=60 listing until it has written LISTED characters (0: none),
+# then prints the child's own peak RSS in KiB (Linux)
+LISTING_HWM_CHILD = """
+import sys
+from jcouple.coupling import coupling_trees_json
+listed, budget = 0, int(sys.argv[1])
+if budget:
+    for chunk in coupling_trees_json(60, max_leaves=60):
+        listed += len(chunk)
+        if listed >= budget:
+            break
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+class TestListingReference:
+    """The skeleton-template listing against the span-splicing walk it replaced, chunk for chunk.
+
+    Every listing for n <= 9, and the first 200 chunks at n = 10, 11 and 12,
+    where labels have two digits and the literal last leaf closes as ", 10]".
+    """
+
+    def test_matches_reference(self):
+        for n in range(2, 10):
+            chunks = itertools.zip_longest(coupling._listing_chunks(n), _reference_listing(n))
+            assert all(new == old for new, old in chunks), n
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_two_digit_labels_match_reference(self, n):
+        new = itertools.islice(coupling_trees_json(n, max_leaves=n), 200)
+        assert list(new) == list(itertools.islice(_reference_listing(n), 200))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_memo_stays_within_its_budget(self):
+        # with no budget the memo peaked about 54 MB above the import floor
+        # (Python 3.11, x86-64), since the first 100 MB reuse most skeletons
+        # (+2 MB) and 300 MB read +18 MB; with it the listing stays about 2 MB
+        # above the floor, as the span-splicing walk did
+        def peak_kib(listed):
+            run = subprocess.run(
+                [sys.executable, "-c", LISTING_HWM_CHILD, str(listed)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr[-300:]
+            return int(run.stdout)
+
+        assert peak_kib(400_000_000) - peak_kib(0) < 16 * 1024
 
 
 class TestExportDot:

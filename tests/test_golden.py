@@ -28,7 +28,10 @@ traceback before.  The next case pins the cut echo of a 4001-character
 negative kepler cutoff (the whole argument was echoed before); the grid and
 momentum-list refusals of verify and couple after it, and the digest of a
 grid with an empty entry, which is skipped, were recorded before the kepler
-walk took over the per-multiset memo.
+walk took over the per-multiset memo.  The n=8 listing was recorded before
+the listing was rendered from skeleton templates, and the two grid refusals
+at n = 10^12 and 10^30 (a MemoryError and an OverflowError traceback before)
+pin the grid's enumeration guard.
 Everything runs in-process and takes well under a second.
 """
 
@@ -200,6 +203,7 @@ GOLDEN = [
         ("verify", "--prop", "univalence", "--grid", "n=2,,jmax=0"),
         "d85e4ee6a169c1f7ca67ccbb24eec90bc6b0cd7ba297055a7bf15eff9b465ef4",
     ),
+    (("schemes", "--n", "8"), "f72cc82ff76f3df2f6e25c0aa8a40d1a719084df1d9bd039cf451387cc5550b5"),
 ]
 
 
@@ -222,7 +226,7 @@ IDS = [
     "verify-second-sym-paper-literal-n2-jmax5/2",
     "regge-audit-json", "regge-audit-csv", "regge-audit-plain", "classify-boson",
     "cg-zero-json", "cg-zero-plain", "threej-zero-json", "threej-zero-plain",
-    "verify-univalence-grid-empty-chunk",
+    "verify-univalence-grid-empty-chunk", "schemes-n8",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
@@ -343,6 +347,16 @@ GOLDEN_ERRORS = [
         None,
         ("couple", "--js", ",", "--j", "0", "--m", "0"),
         "error: expected a comma-separated list of momenta\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=1000000000000,jmax=0"),
+        "error: grid request exceeds the enumeration guard\n",
+    ),
+    (
+        None,
+        ("verify", "--prop", "univalence", "--grid", "n=1000000000000000000000000000000,jmax=0"),
+        "error: grid request exceeds the enumeration guard\n",
     ),
 ]
 
