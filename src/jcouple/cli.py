@@ -43,6 +43,7 @@ from .numerics import (
     parse_halfint,
     projection_range,
     short_repr,
+    twice_text,
 )
 from .particles import is_fermion, particle_from_json
 from .timerev import (
@@ -118,7 +119,7 @@ def cmd_regge_audit(ns: argparse.Namespace) -> list[str]:
 
 def _names(top: int) -> dict[int, str]:
     """{twice m: str(m)} for every |twice m| <= top."""
-    return {t: str(HalfInt(t)) for t in range(-top, top + 1)}
+    return {t: twice_text(t) for t in range(-top, top + 1)}
 
 
 def _list_text(texts: list[str]) -> str:
@@ -201,28 +202,27 @@ def _batched(texts: Iterator[str]) -> Iterator[str]:
         yield chunk
 
 
-def _energy_fields(energy: Fraction) -> str:
-    """The "energy" and "approx" members as json.dumps writes them (a float as its repr)."""
-    return (
-        f'"energy": {{"num": "{energy.numerator}", "den": "{energy.denominator}"}}, '
-        f'"approx": {float(energy)!r}'
-    )
+def _energy_fields(num: int, den: int) -> str:
+    """The "energy" and "approx" members as json.dumps writes them (a float as its repr).
+
+    num / den is the float that Fraction(num, den) converts to.
+    """
+    return f'"energy": {{"num": "{num}", "den": "{den}"}}, "approx": {num / den!r}'
 
 
 def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -> Iterator[str]:
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
     Each multiset's level text after "js" is spliced after every tuple's "js"
-    text.  groups is {energy: [js texts in walk order, deg_paper sum, deg_enum
-    sum]}; level_tail in cmd_kepler makes each entry once per multiset (a
-    lookup per tuple would hash a Fraction per ordering, about half again the
-    time of z=4, jcut=15/2) and this loop fills it, so each merged group
-    lists its tuples in product order and sums the counts once per tuple.
+    text.  groups is {(energy num, energy den): [js texts in walk order,
+    deg_paper sum, deg_enum sum]}; level_tail in cmd_kepler makes each entry
+    once per multiset and this loop fills it, so each merged group lists its
+    tuples in product order and sums the counts once per tuple.
     """
     yield json.dumps(header)[:-1] + ', "levels": ['
     sep = ""
-    for js, (tail, group, paper, enum) in walk:
-        text = _list_text([names[j.twice] for j in js])
+    for ts, (tail, group, paper, enum) in walk:
+        text = _list_text([names[t] for t in ts])
         group[0].append(text)
         group[1] += paper
         group[2] += enum
@@ -230,52 +230,74 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
         sep = ", "
     yield '], "merged": ['
     sep = ""
-    # float() rounds monotonically, so it never orders two energies against
-    # their exact order; equal floats fall back to the exact comparison
-    for energy in sorted(groups, key=lambda e: (float(e), e)):
+    # num / den rounds monotonically, so it never orders two energies against
+    # their exact order; equal floats fall back to one Fraction per energy
+    for energy in sorted(groups, key=lambda e: (e[0] / e[1], Fraction(*e))):
         texts, paper, enum = groups[energy]
         yield (
-            f'{sep}{{{_energy_fields(energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
+            f'{sep}{{{_energy_fields(*energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
             f'"tuples": [{", ".join(texts)}]}}'
         )
         sep = ", "
     yield "]}\n"
 
 
+def _check_count_digits(z: int, j_cut: HalfInt, fermion: bool) -> None:
+    """Refuses a spectrum whose counts pass the interpreter's int-to-str digit limit.
+
+    Every count kepler prints, per level or summed over a merged group, is at
+    most that count summed over all levels.  With n = 2 jcut + 1 the sums are
+    2 (1 + ... + n)^z, plus 2z n^z for fermions, and (1^2 + ... + n^2)^z,
+    times 2^z for fermions.  At the default limit of 4300 digits the first
+    refusal is the fermion count 2^z at jcut=0 and z=14285.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    n = j_cut.twice + 1
+    paper = 2 * (n * (n + 1) // 2) ** z + (2 * z * n**z if fermion else 0)
+    enum = (n * (n + 1) * (2 * n + 1) // 6) ** z << (z if fermion else 0)
+    count = max(paper, enum)
+    # under 2**(3 limit) < 10**limit the power need not be formed
+    if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+        raise DomainError(
+            f"number out of range, too many digits: the degeneracy counts at z={z}, "
+            f"jcut={j_cut}"
+        )
+
+
 def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
 
-    The walk calls row_tail or level_tail once per multiset and yields its
-    result with every ordering.  The fields are decimal strings, integers,
-    a float and a bool, rendered as csv.writer and json.dumps write them
-    (no csv field needs quoting), because a json.dumps call per multiset
-    costs more than the rest of its work.
+    The walk runs on twice integers and calls row_tail or level_tail once per
+    multiset with the energy's reduced numerator and denominator and both
+    counts, and yields its result with every ordering.  The fields are
+    decimal strings, integers, a float and a bool, rendered as csv.writer
+    and json.dumps write them (no csv field needs quoting), because a
+    json.dumps call per multiset costs more than the rest of its work.
     """
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
     # refuses z < 1 in the walk's words, so every refusal still precedes any output
     verdict = kramers_applicability(ns.z, statistics).value
-    if ns.format == "csv":
+    groups: dict[tuple[int, int], list] = {}
 
-        def row_tail(energy: Fraction, paper: int, enum: int) -> str:
-            return f",{energy.numerator},{energy.denominator},{paper},{enum},{verdict}\n"
+    def row_tail(num: int, den: int, paper: int, enum: int) -> str:
+        return f",{num},{den},{paper},{enum},{verdict}\n"
 
-        walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail)  # refuses before names is built
-        names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
-        rows = (";".join([names[j.twice] for j in js]) + tail for js, tail in walk)
-        header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
-        return _batched(itertools.chain([header], rows))
-    groups: dict[Fraction, list] = {}
-
-    def level_tail(energy: Fraction, paper: int, enum: int) -> tuple:
+    def level_tail(num: int, den: int, paper: int, enum: int) -> tuple:
         tail = (
-            f', {_energy_fields(energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
+            f', {_energy_fields(num, den)}, "deg_paper": {paper}, "deg_enum": {enum}, '
             f'"diverges": {"true" if paper != enum else "false"}}}'
         )
-        return tail, groups.setdefault(energy, [[], 0, 0]), paper, enum
+        return tail, groups.setdefault((num, den), [[], 0, 0]), paper, enum
 
-    walk = _spectrum_walk(ns.z, j_cut, statistics, level_tail)  # refuses before names is built
-    names = [str(HalfInt(t)) for t in range(j_cut.twice + 1)]
+    walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail if ns.format == "csv" else level_tail)
+    # both refuse before names is built
+    _check_count_digits(ns.z, j_cut, statistics is Statistics.FERMION_HALF)
+    names = [twice_text(t) for t in range(j_cut.twice + 1)]
+    if ns.format == "csv":
+        rows = (";".join([names[t] for t in ts]) + tail for ts, tail in walk)
+        header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
+        return _batched(itertools.chain([header], rows))
     header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
     return _batched(_kepler_json(header, names, walk, groups))
 

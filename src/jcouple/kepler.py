@@ -11,6 +11,7 @@ reported, not reconciled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -167,7 +168,11 @@ class KramersVerdict(Enum):
 
 
 def energy_level(j: HalfInt) -> Fraction:
-    """Single-particle bound energy -j^2 / (2j+1)^2, exactly as printed."""
+    """Single-particle bound energy -j^2 / (2j+1)^2, exactly as printed.
+
+    The spectrum walk sums these on twice integers; this and the two
+    degeneracy functions below are the reference it is tested against.
+    """
     if j.twice < 0:
         raise DomainError(f"momentum must be nonnegative, got {j}")
     t = j.twice
@@ -242,49 +247,76 @@ class MergedKeplerLevel:
 
 
 def _spectrum_walk(
-    z: int, j_cut: HalfInt, statistics: Statistics, make: Callable[[Fraction, int, int], T]
-) -> Iterator[tuple[tuple[HalfInt, ...], T]]:
-    """Every j-tuple with all j <= j_cut in lexicographic order, with its multiset's record.
+    z: int, j_cut: HalfInt, statistics: Statistics, make: Callable[[int, int, int, int], T]
+) -> Iterator[tuple[tuple[int, ...], T]]:
+    """Every tuple of twice values, all at most 2 j_cut, in lexicographic order, with its record.
 
     The energy and both counts are symmetric in the tuple, so they are
-    evaluated once per sorted tuple of ``twice`` values: ``make(energy,
-    deg_paper, deg_enum)`` runs once per such multiset, and its result,
-    which must not be None, is kept and yielded with every ordering.
-    ``energy_level`` runs once per j value.  The arguments and the guard are
-    checked here, before the first tuple.
+    evaluated once per sorted tuple: ``make(energy_num, energy_den,
+    deg_paper, deg_enum)`` runs once per such multiset, with the energy as a
+    reduced fraction, and its result, which must not be None, is kept and
+    yielded with every ordering.  The arguments and the guard are checked
+    here, before the first tuple.
     """
     if z < 1:
         raise DomainError("need at least one particle")
     if j_cut.twice < 0:
         raise DomainError(f"cutoff must be nonnegative, got {short_str(j_cut)}")
     check_table_size(z, j_cut.twice + 1, "spectrum")  # z per level, (2jcut+1)**z levels
-    return _walk(z, j_cut.twice, statistics, make)
+    return _walk(z, j_cut.twice, statistics is Statistics.FERMION_HALF, make)
 
 
 def _walk(
-    z: int, twice_cut: int, statistics: Statistics, make: Callable[[Fraction, int, int], T]
-) -> Iterator[tuple[tuple[HalfInt, ...], T]]:
-    values = [HalfInt(t) for t in range(twice_cut + 1)]
-    energies = [energy_level(j) for j in values]  # indexed by j.twice
+    z: int, twice_cut: int, fermion: bool, make: Callable[[int, int, int, int], T]
+) -> Iterator[tuple[tuple[int, ...], T]]:
     records: dict[tuple[int, ...], T] = {}
-    for js in itertools.product(values, repeat=z):
-        key = tuple(sorted([j.twice for j in js]))
+    for ts in itertools.product(range(twice_cut + 1), repeat=z):
+        key = tuple(sorted(ts))
         record = records.get(key)
         if record is None:
-            record = records[key] = make(
-                # starting from the first term spares one Fraction addition
-                sum([energies[t] for t in key[1:]], energies[key[0]]),
-                degeneracy_paper(js, statistics),
-                degeneracy_enumerated(js, statistics),
-            )
-        yield js, record
+            record = records[key] = make(*_multiset_fields(key, fermion))
+        yield ts, record
+
+
+def _multiset_fields(key: tuple[int, ...], fermion: bool) -> tuple[int, int, int, int]:
+    """(energy num, energy den, deg_paper, deg_enum) of a multiset of twice values.
+
+    The energy is the sum of -t^2 / (4 (t+1)^2) over the twice values t,
+    accumulated over the lcm of the denominators, so the denominator stays
+    bounded by the distinct values and not by their number, and reduced
+    with one gcd at the end.  j=0 adds no energy and a factor 1 to both
+    counts, so it is skipped.  ``energy_level``, ``degeneracy_paper`` and
+    ``degeneracy_enumerated`` are the reference these values are tested
+    against.
+    """
+    num, den, prod = 0, 1, 1  # prod is prod(2j+1)
+    for t in key:
+        if t:
+            n = t + 1
+            d = 4 * n * n
+            g = math.gcd(den, d)
+            num = num * (d // g) - t * t * (den // g)
+            den = den // g * d
+            prod *= n
+    g = math.gcd(num, den)
+    if fermion:
+        z = len(key)
+        return num // g, den // g, 2 * prod + 2 * z, prod * prod << z
+    return num // g, den // g, 2 * prod, prod * prod
 
 
 def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel]:
-    """One level per j-tuple with all j <= j_cut, in lexicographic tuple order."""
+    """One level per j-tuple with all j <= j_cut, in lexicographic tuple order.
+
+    The walk runs on twice values; the HalfInt momenta and the Fraction
+    energies are built here.
+    """
+    walk = _spectrum_walk(
+        z, j_cut, statistics, lambda num, den, *counts: (Fraction(num, den), *counts)
+    )
+    values = [HalfInt(t) for t in range(j_cut.twice + 1)]
     return [
-        KeplerLevel(js, *fields, statistics)
-        for js, fields in _spectrum_walk(z, j_cut, statistics, lambda *fields: fields)
+        KeplerLevel(tuple([values[t] for t in ts]), *fields, statistics) for ts, fields in walk
     ]
 
 

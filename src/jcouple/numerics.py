@@ -72,9 +72,12 @@ class HalfInt:
         return HalfInt(abs(self.twice))
 
     def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return twice_text(self.twice)
+
+
+def twice_text(twice: int) -> str:
+    """The text of the half-integer twice/2, as str(HalfInt(twice)) prints it: "3/2", "-1"."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
 def parse_halfint(text: str) -> HalfInt:
@@ -103,8 +106,6 @@ def parse_halfint(text: str) -> HalfInt:
 class Parity(Enum):
     NATURAL = "natural"
     HALF_ODD = "half_odd"
-    NEGATIVE_NATURAL = "negative_natural"
-    NEGATIVE_HALF_ODD = "negative_half_odd"
 
 
 def classify(h: HalfInt) -> Parity:
@@ -112,13 +113,6 @@ def classify(h: HalfInt) -> Parity:
     if h.twice < 0:
         raise DomainError(f"classify expects a nonnegative value, got {h}")
     return Parity.NATURAL if h.is_integral else Parity.HALF_ODD
-
-
-def classify_signed(h: HalfInt) -> Parity:
-    """Total four-way classification over all of Z/2."""
-    if h.twice >= 0:
-        return Parity.NATURAL if h.is_integral else Parity.HALF_ODD
-    return Parity.NEGATIVE_NATURAL if h.is_integral else Parity.NEGATIVE_HALF_ODD
 
 
 def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:

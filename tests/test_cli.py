@@ -332,10 +332,10 @@ class TestKeplerCliff:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_one_record_per_multiset(self):
         # at z=1 each of the 100,000 levels is its own multiset, so the walk's
-        # memo holds one csv row tail per level; a second memo of row tails
-        # keyed by a per-multiset record peaked about 72 MB above the floor,
-        # one memo about 54 MB (Python 3.11); the bound sits between the two
-        # to leave room for other versions' object sizes
+        # memo holds one csv row tail per level; with HalfInt values and
+        # Fraction energies beside it the run peaked about 53 MB above the
+        # floor, on twice integers about 31 MB (Python 3.11); the bound sits
+        # between the two to leave room for other versions' object sizes
         def peak_kib(*argv):
             proc = subprocess.run(
                 [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
@@ -348,7 +348,29 @@ class TestKeplerCliff:
 
         floor = peak_kib()
         argv = ["kepler", "--z", "1", "--jcut", "99999/2", "--stats", "boson", "--format", "csv"]
-        assert peak_kib(*argv) - floor < 63 * 1024
+        assert peak_kib(*argv) - floor < 42 * 1024
+
+    def test_a_million_particles_at_jcut_zero(self):
+        # one level of 10^6 zeros; an energy denominator multiplied by 4 (t+1)^2
+        # once per particle ran past 30 s, against about 2.6 s for Fraction sums
+        argv = ["kepler", "--z", "1000000", "--jcut", "0", "--stats", "boson", "--format", "csv"]
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", *argv], capture_output=True, text=True, timeout=60
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.splitlines()[1:] == [";".join(["0"] * 10**6) + ",0,1,2,1,not_inferable"]
+        assert elapsed < 10.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_largest_printable_count(self, capsys, fmt):
+        # 2^14284 has 4300 digits, the interpreter's default int-to-str limit;
+        # z=14285 is refused (tests/test_golden.py)
+        argv = ["kepler", "--z", "14284", "--jcut", "0", "--stats", "fermion", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert str(2**14284) in out
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -31,7 +31,9 @@ grid with an empty entry, which is skipped, were recorded before the kepler
 walk took over the per-multiset memo.  The n=8 listing was recorded before
 the listing was rendered from skeleton templates, and the two grid refusals
 at n = 10^12 and 10^30 (a MemoryError and an OverflowError traceback before)
-pin the grid's enumeration guard.
+pin the grid's enumeration guard.  The last two cases pin the refusal of a
+fermion count 2^z past the int-to-str digit limit, in json and csv, which
+ended in a ValueError traceback before.
 Everything runs in-process and takes well under a second.
 """
 
@@ -231,6 +233,7 @@ IDS = [
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
 LABEL = "may not contain a double quote, a backslash or a line break"
+KEPLER_COUNTS = "the degeneracy counts at z=14285, jcut=0"
 
 # (JCOUPLE_MAX_TREES or None, argv, exact stderr); every case exits with code 1
 GOLDEN_ERRORS = [
@@ -357,6 +360,16 @@ GOLDEN_ERRORS = [
         None,
         ("verify", "--prop", "univalence", "--grid", "n=1000000000000000000000000000000,jmax=0"),
         "error: grid request exceeds the enumeration guard\n",
+    ),
+    (
+        None,
+        ("kepler", "--z", "14285", "--jcut", "0", "--stats", "fermion"),
+        f"error: number out of range, too many digits: {KEPLER_COUNTS}\n",
+    ),
+    (
+        None,
+        ("kepler", "--z", "14285", "--jcut", "0", "--stats", "fermion", "--format", "csv"),
+        f"error: number out of range, too many digits: {KEPLER_COUNTS}\n",
     ),
 ]
 

@@ -285,8 +285,8 @@ class TestOncePerMultiset:
         j_cut = HalfInt(twice_cut)
         made = []
 
-        def make(energy, paper, enum):
-            made.append((energy, paper, enum))
+        def make(num, den, paper, enum):
+            made.append((num, den, paper, enum))
             return made[-1]
 
         walk = list(_spectrum_walk(z, j_cut, statistics, make))
@@ -297,6 +297,37 @@ class TestOncePerMultiset:
             assert by_multiset.setdefault(tuple(sorted(js)), record) is record
         assert len(by_multiset) == len(made)
         assert spectrum(z, j_cut, statistics) == reference_spectrum(z, j_cut, statistics)
+
+
+class TestIntegerWalk:
+    """The walk's integer energy and counts against the HalfInt/Fraction reference
+    functions, on every multiset with z <= 4 and 2 jcut <= 7: the energy is the
+    reduced fraction of the summed energy_level values, and the counts are
+    degeneracy_paper and degeneracy_enumerated of the momenta."""
+
+    @pytest.mark.parametrize(
+        "z, twice_cut, statistics",
+        [
+            (z, twice_cut, statistics)
+            for z in (1, 2, 3, 4)
+            for twice_cut in range(8)
+            for statistics in Statistics
+        ],
+    )
+    def test_fields_match_reference(self, z, twice_cut, statistics):
+        walk = _spectrum_walk(z, HalfInt(twice_cut), statistics, lambda *fields: fields)
+        checked = set()
+        for ts, (num, den, paper, enum) in walk:
+            key = tuple(sorted(ts))
+            if key in checked:
+                continue
+            checked.add(key)
+            js = tuple(HalfInt(t) for t in key)
+            assert Fraction(num, den) == sum(map(energy_level, js), Fraction(0))
+            assert den > 0 and math.gcd(num, den) == 1
+            assert paper == degeneracy_paper(js, statistics)
+            assert enum == degeneracy_enumerated(js, statistics)
+        assert len(checked) == math.comb(twice_cut + z, z)
 
 
 class TestKramers:

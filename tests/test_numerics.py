@@ -15,7 +15,6 @@ from jcouple.numerics import (
     PhasedSurdSum,
     Surd,
     classify,
-    classify_signed,
     factorial_factorized,
     halfint_range,
     parse_halfint,
@@ -74,10 +73,6 @@ class TestClassify:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             classify(HalfInt(-1))
-
-    def test_signed_classification(self):
-        assert classify_signed(HalfInt(-1)) is Parity.NEGATIVE_HALF_ODD
-        assert classify_signed(HalfInt(-2)) is Parity.NEGATIVE_NATURAL
 
     def test_closure_table_exhaustive(self):
         # the seven closure rules, over all pairs with twice in [0, 40]
