@@ -8,6 +8,9 @@ decimal strings with floats only under explicit "approx" keys.
 Every subcommand returns its output as an iterable of texts and ``main`` is
 the one writer.  A handler checks its input when it is called, or, for
 ``verify``, before its first text, so an error leaves stdout empty.
+
+Only ``numerics`` is imported with this module.  Each handler imports the
+modules it runs when it is called, so a subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -21,20 +24,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .coupling import (
-    CouplingChain,
-    _state_amplitudes,
-    count_coupling_trees,
-    coupling_tree,
-    coupling_trees_json,
-    enumerate_chains,
-    export_dot,
-    jmax,
-    jmin,
-)
-from .kepler import Statistics, _spectrum_walk, kramers_applicability
 from .numerics import (
     DomainError,
     HalfInt,
@@ -45,16 +36,9 @@ from .numerics import (
     short_repr,
     twice_text,
 )
-from .particles import is_fermion, particle_from_json
-from .timerev import (
-    audit_second_symmetry,
-    check_compatibility,
-    coupled_univalence,
-    first_symmetry_audits,
-    kramers_overlap,
-    t_squared_sign,
-)
-from .wigner import CgArgs, cg, regge_orbit_audit, three_j
+
+if TYPE_CHECKING:
+    from .coupling import CouplingChain
 
 
 def _parse_intermediates(text: str) -> tuple[HalfInt, ...]:
@@ -84,8 +68,11 @@ def _max_trees() -> int:
 
 
 def cmd_coefficient(ns: argparse.Namespace) -> list[str]:
-    """cg and threej; each subparser sets ``evaluate`` to its six-argument evaluator."""
-    value = ns.evaluate(
+    """cg and threej: one coefficient of the six parsed arguments."""
+    from .wigner import CgArgs, cg, three_j
+
+    evaluate = three_j if ns.command == "threej" else lambda *q: cg(CgArgs(*q))
+    value = evaluate(
         parse_halfint(ns.j1),
         parse_halfint(ns.m1),
         parse_halfint(ns.j2),
@@ -99,6 +86,8 @@ def cmd_coefficient(ns: argparse.Namespace) -> list[str]:
 
 
 def cmd_regge_audit(ns: argparse.Namespace) -> list[str]:
+    from .wigner import regge_orbit_audit
+
     entries = regge_orbit_audit(
         parse_halfint(ns.a),
         parse_halfint(ns.alpha),
@@ -155,6 +144,8 @@ def _couple_json(
 
 
 def cmd_couple(ns: argparse.Namespace) -> Iterator[str]:
+    from .coupling import CouplingChain, _state_amplitudes
+
     chain = CouplingChain(
         _parse_js(ns.js), _parse_intermediates(ns.intermediates), parse_halfint(ns.j)
     )
@@ -164,6 +155,8 @@ def cmd_couple(ns: argparse.Namespace) -> Iterator[str]:
 
 
 def cmd_schemes(ns: argparse.Namespace) -> Iterable[str]:
+    from .coupling import count_coupling_trees, coupling_trees_json
+
     max_leaves = _max_trees()
     if ns.count_only:
         count = count_coupling_trees(ns.n, max_leaves=max_leaves)
@@ -178,12 +171,16 @@ def cmd_schemes(ns: argparse.Namespace) -> Iterable[str]:
 
 
 def cmd_diagram(ns: argparse.Namespace) -> list[str]:
+    from .coupling import coupling_tree, export_dot
+
     tree = coupling_tree(ns.n, ns.scheme, max_leaves=_max_trees())
     labels = ns.labels.split(",") if ns.labels else [str(i) for i in range(1, ns.n + 1)]
     return [export_dot(tree, labels)]
 
 
 def cmd_classify(ns: argparse.Namespace) -> list[str]:
+    from .particles import is_fermion, particle_from_json
+
     raw = sys.stdin.read() if ns.particle in (None, "-") else ns.particle
     try:
         obj = json.loads(raw)
@@ -214,18 +211,19 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
     Each multiset's level text after "js" is spliced after every tuple's "js"
-    text.  groups is {(energy num, energy den): [js texts in walk order,
-    deg_paper sum, deg_enum sum]}; level_tail in cmd_kepler makes each entry
-    once per multiset and this loop fills it, so each merged group lists its
-    tuples in product order and sums the counts once per tuple.
+    text.  groups is {(energy num, energy den): [energy text, js texts in
+    walk order, deg_paper sum, deg_enum sum]}; level_tail in cmd_kepler
+    makes each entry, and renders its energy text, once per distinct energy,
+    and this loop fills it, so each merged group lists its tuples in product
+    order and sums the counts once per tuple.
     """
     yield json.dumps(header)[:-1] + ', "levels": ['
     sep = ""
     for ts, (tail, group, paper, enum) in walk:
         text = _list_text([names[t] for t in ts])
-        group[0].append(text)
-        group[1] += paper
-        group[2] += enum
+        group[1].append(text)
+        group[2] += paper
+        group[3] += enum
         yield f'{sep}{{"js": {text}{tail}'
         sep = ", "
     yield '], "merged": ['
@@ -233,9 +231,9 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
     # num / den rounds monotonically, so it never orders two energies against
     # their exact order; equal floats fall back to one Fraction per energy
     for energy in sorted(groups, key=lambda e: (e[0] / e[1], Fraction(*e))):
-        texts, paper, enum = groups[energy]
+        energy_text, texts, paper, enum = groups[energy]
         yield (
-            f'{sep}{{{_energy_fields(*energy)}, "deg_paper": {paper}, "deg_enum": {enum}, '
+            f'{sep}{{{energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, '
             f'"tuples": [{", ".join(texts)}]}}'
         )
         sep = ", "
@@ -274,6 +272,8 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     and json.dumps write them (no csv field needs quoting), because a
     json.dumps call per multiset costs more than the rest of its work.
     """
+    from .kepler import Statistics, _spectrum_walk, kramers_applicability
+
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
     # refuses z < 1 in the walk's words, so every refusal still precedes any output
@@ -284,11 +284,14 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
         return f",{num},{den},{paper},{enum},{verdict}\n"
 
     def level_tail(num: int, den: int, paper: int, enum: int) -> tuple:
+        group = groups.get((num, den))
+        if group is None:
+            group = groups[num, den] = [_energy_fields(num, den), [], 0, 0]
         tail = (
-            f', {_energy_fields(num, den)}, "deg_paper": {paper}, "deg_enum": {enum}, '
+            f', {group[0]}, "deg_paper": {paper}, "deg_enum": {enum}, '
             f'"diverges": {"true" if paper != enum else "false"}}}'
         )
-        return tail, groups.setdefault((num, den), [[], 0, 0]), paper, enum
+        return tail, group, paper, enum
 
     walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail if ns.format == "csv" else level_tail)
     # both refuse before names is built
@@ -335,16 +338,6 @@ def _js_tuples(n: int, top: HalfInt) -> Iterator[tuple[HalfInt, ...]]:
     return itertools.product(values, repeat=n)
 
 
-def _univalence_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
-    """(claimed, actual): the coupled univalence of js against (-1)^(2j)."""
-    return coupled_univalence(js), t_squared_sign(j)
-
-
-def _compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
-    """(claimed, actual): +1 against (-1)^(2(sum js - j))."""
-    return 1, 1 if check_compatibility(js, j) else -1
-
-
 def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     """The audit records, each json.dumps of its record dict plus a newline.
 
@@ -355,9 +348,27 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     small integer or null, so nothing needs escaping.  main writes each
     record as soon as it is rendered, so a reader sees each line at once.
     """
+    from .coupling import enumerate_chains, jmax, jmin
+    from .timerev import (
+        audit_second_symmetry,
+        check_compatibility,
+        coupled_univalence,
+        first_symmetry_audits,
+        kramers_overlap,
+        t_squared_sign,
+    )
+
+    def univalence_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
+        """(claimed, actual): the coupled univalence of js against (-1)^(2j)."""
+        return coupled_univalence(js), t_squared_sign(j)
+
+    def compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
+        """(claimed, actual): +1 against (-1)^(2(sum js - j))."""
+        return 1, 1 if check_compatibility(js, j) else -1
+
     n, top = _parse_grid(ns.grid)
     if ns.prop in ("univalence", "compat"):
-        claim = _univalence_claim if ns.prop == "univalence" else _compat_claim
+        claim = univalence_claim if ns.prop == "univalence" else compat_claim
         names = _names(top.twice)
         for js in _js_tuples(n, top):
             head = f'{{"input": {{"js": {_list_text([names[x.twice] for x in js])}, "j": "'
@@ -433,11 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cg", help="one Clebsch-Gordan coefficient, exactly")
     _add_cg_like(p)
-    p.set_defaults(handler=cmd_coefficient, evaluate=lambda *q: cg(CgArgs(*q)))
+    p.set_defaults(handler=cmd_coefficient)
 
     p = subs.add_parser("threej", help="one Wigner 3j symbol, exactly")
     _add_cg_like(p)
-    p.set_defaults(handler=cmd_coefficient, evaluate=three_j)
+    p.set_defaults(handler=cmd_coefficient)
 
     p = subs.add_parser("regge-audit", help="audit the 12 Regge orbit transforms")
     for flag in ("--a", "--alpha", "--b", "--beta", "--c", "--gamma"):
