@@ -59,10 +59,8 @@ _EXPORTS = {
                 "FactorizedFactorial",
                 "GaussianRational",
                 "HalfInt",
-                "Parity",
                 "PhasedSurdSum",
                 "Surd",
-                "classify",
                 "factorial_factorized",
                 "halfint_range",
                 "parse_halfint",
@@ -76,13 +74,8 @@ _EXPORTS = {
                 "Leaf",
                 "Node",
                 "ParticleTree",
-                "Permutation",
-                "antisymmetrize",
-                "exchange",
                 "is_fermion",
                 "particle_from_json",
-                "signature",
-                "symmetrize",
             ),
         ),
         (
@@ -108,7 +101,6 @@ _EXPORTS = {
                 "allowed_j",
                 "cg",
                 "cg_normalization_sum",
-                "cg_selection_ok",
                 "regge_orbit_audit",
                 "regge_symbol",
                 "three_j",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Hashable, Iterator, Mapping, Union
 
@@ -101,18 +100,6 @@ def parse_halfint(text: str) -> HalfInt:
             f"{short_repr(text)} is not in N/2 (denominator {short_repr(q.denominator)})"
         )
     return HalfInt(int(q * 2))
-
-
-class Parity(Enum):
-    NATURAL = "natural"
-    HALF_ODD = "half_odd"
-
-
-def classify(h: HalfInt) -> Parity:
-    """Classify a nonnegative half-integer as natural or half-odd."""
-    if h.twice < 0:
-        raise DomainError(f"classify expects a nonnegative value, got {h}")
-    return Parity.NATURAL if h.is_integral else Parity.HALF_ODD
 
 
 def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:

@@ -1,12 +1,9 @@
-"""Recursive boson/fermion classification and symmetric-group helpers."""
+"""Boson/fermion classification of particles built from nested subparticles."""
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .numerics import DomainError, short_repr
 
@@ -18,8 +15,10 @@ class Leaf:
     univalence: int
 
     def __post_init__(self) -> None:
-        if self.univalence not in (-1, 1):
-            raise DomainError(f"leaf univalence must be +-1, got {short_repr(self.univalence)}")
+        u = self.univalence
+        # True and 1.0 compare equal to 1, so the type is checked too
+        if isinstance(u, bool) or not isinstance(u, int) or u not in (-1, 1):
+            raise DomainError(f"leaf univalence must be +-1, got {short_repr(u)}")
 
 
 @dataclass(frozen=True)
@@ -84,78 +83,3 @@ def is_fermion(p: ParticleTree) -> bool:
         else:
             stack.extend(node.children)
     return fermions % 2 == 1
-
-
-# ---------------------------------------------------------------------------
-# symmetric group
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} given by its image tuple (1-based)."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise DomainError(f"not a permutation of 1..{n}: {self.image}")
-
-    def apply(self, args: Sequence) -> list:
-        return [args[i - 1] for i in self.image]
-
-
-def signature(perm: Permutation) -> int:
-    """(-1) to the number of inversions."""
-    inversions = sum(
-        1
-        for a, b in itertools.combinations(perm.image, 2)
-        if a > b
-    )
-    return -1 if inversions % 2 else 1
-
-
-def all_permutations(n: int) -> list[Permutation]:
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def exchange(args: Sequence, pair: tuple[int, int]) -> list:
-    """Swap the (1-based) entries at the two given distinct positions."""
-    i, k = pair
-    n = len(args)
-    if not (1 <= i <= n and 1 <= k <= n):
-        raise DomainError(f"indices {pair} out of range 1..{n}")
-    if i == k:
-        raise DomainError("exchange needs two distinct positions")
-    out = list(args)
-    out[i - 1], out[k - 1] = out[k - 1], out[i - 1]
-    return out
-
-
-def symmetrize(table, args: Sequence):
-    """(1/n!) sum of table values over all permutations of args.
-
-    The table must hold an entry for every permuted tuple; values need exact
-    + and * Fraction (PhasedSurdSum or Fraction both qualify).
-    """
-    return _average(table, args, signed=False)
-
-
-def antisymmetrize(table, args: Sequence):
-    """Like symmetrize, with each term weighted by the permutation signature."""
-    return _average(table, args, signed=True)
-
-
-def _average(table, args: Sequence, signed: bool):
-    n = len(args)
-    total = None
-    for perm in all_permutations(n):
-        key = tuple(perm.apply(args))
-        try:
-            value = table[key]
-        except KeyError as exc:
-            raise DomainError(f"table has no entry for {key}") from exc
-        if signed and signature(perm) < 0:
-            value = -value
-        total = value if total is None else total + value
-    return total * Fraction(1, math.factorial(n))

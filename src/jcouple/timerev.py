@@ -2,9 +2,12 @@
 
 The antiunitary operator acts by T|j,m> = i^(2m) |j,-m> on a single momentum
 and termwise on product states.  On a coupled state, whose amplitudes are
-real, that action is one flip of every projection tuple and one power of i
-(`apply_time_reversal`), never a matrix; both overlap audits contract the
-same flip on the chain's twice-integer amplitudes.  The audit operations
+real, that action is one flip of every projection tuple and one power of i,
+never a matrix.  `_reversed` is the only code that applies it:
+`apply_time_reversal` returns it on a `StateExpansion`, and both overlap
+audits contract a state with it on the chain's twice-integer amplitudes.
+The projection flip in the first-symmetry audit is an identity between
+coefficients, not T acting on a state.  The audit operations
 return exact values and agree/diverge verdicts instead of asserting the
 claimed identities, since exact evaluation is the whole point.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterator, Literal, Sequence
 
 from .coupling import (
@@ -52,18 +56,23 @@ def check_compatibility(js: Sequence[HalfInt], j: HalfInt) -> bool:
     return exponent % 2 == 0
 
 
+def _reversed(amplitudes: dict, ttotal: int) -> tuple[int, dict]:
+    """T of a state with real amplitudes and total twice-m ttotal, as (k, flipped).
+
+    T psi = i^k * sum of flipped[ms] |ms>.  T sends the term at ms to -ms
+    with the phase i^(2 * sum ms).  Every tuple of the support sums to the
+    total m, so the power is the same for every term and is returned once,
+    as k = ttotal mod 4.  Real amplitudes are left as they are by
+    antilinearity.  The keys are tuples of twice-integers or of HalfInt.
+    """
+    return ttotal % 4, {tuple(map(neg, ms)): amp for ms, amp in amplitudes.items()}
+
+
 def apply_time_reversal(
     expansion: StateExpansion,
 ) -> tuple[int, dict[tuple[HalfInt, ...], Surd]]:
-    """T of a coupled state as (k, amplitudes): T psi = i^k * sum of amplitudes[ms] |ms>.
-
-    T sends the term at ms to -ms with the phase i^(2 * sum ms).  Every tuple
-    of the support sums to the total m, so the power is the same for every
-    term and is returned once, as k = 2m mod 4.  The amplitudes are real
-    surds, so conjugation under antilinearity leaves them as they are.
-    """
-    flipped = {tuple(-m for m in ms): amp for ms, amp in expansion.amplitudes.items()}
-    return expansion.total_m.twice % 4, flipped
+    """T of a coupled state as (k, amplitudes): T psi = i^k * sum of amplitudes[ms] |ms>."""
+    return _reversed(expansion.amplitudes, expansion.total_m.twice)
 
 
 @dataclass(frozen=True)
@@ -128,17 +137,16 @@ def first_symmetry_audits(
         yield tms, total, _first_symmetry(value(tms), value(tuple(-t for t in tms)))
 
 
-def _overlap(
+def _dot(
     bra: dict[tuple[int, ...], Fraction], ket: dict[tuple[int, ...], Fraction]
 ) -> PhasedSurdSum:
-    """Sum over ms of bra(ms) * ket(-ms), on {twice ms: signed square} amplitudes.
+    """Sum over ms of bra(ms) * ket(ms), on {twice ms: signed square} amplitudes.
 
-    That is the overlap of bra with T ket before T's power of i; tuples
-    whose flip is missing from ket add 0.
+    Both are real, so that is the overlap <bra|ket>; tuples missing from ket add 0.
     """
     acc = PhasedSurdSum.zero()
     for tms, v in bra.items():
-        w = ket.get(tuple(-t for t in tms))
+        w = ket.get(tms)
         if w is not None:
             acc = acc + Surd.from_signed_square(v * w).to_sum()
     return acc
@@ -162,10 +170,13 @@ def audit_second_symmetry(
         raise DomainError(f"unknown interpretation {interpretation!r}")
     if not chain.total_j.is_half_odd:
         raise DomainError(f"total momentum {chain.total_j} is not half-odd")
+    partner_m = -total_m if interpretation == "paper-literal" else total_m
     ket = _state_amplitudes(chain, total_m)
-    partner = _state_amplitudes(chain, -total_m) if interpretation == "paper-literal" else ket
-    # the overlap reads C(-ms; m') from the partner; the audit's phase is i^(-2m), not T's
-    return _overlap(ket, partner).times_i_pow(-total_m.twice)
+    partner = ket if partner_m == total_m else _state_amplitudes(chain, partner_m)
+    # C(-ms; m') is the reversed partner's amplitude at ms; the audit keeps
+    # its own phase i^(-2m), not T's
+    _, flipped = _reversed(partner, partner_m.twice)
+    return _dot(ket, flipped).times_i_pow(-total_m.twice)
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
@@ -177,4 +188,5 @@ def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     T psi are disjoint projection tuples and the sum is exactly empty.
     """
     psi = _state_amplitudes(chain, total_m)
-    return _overlap(psi, psi).times_i_pow(total_m.twice)
+    k, tpsi = _reversed(psi, total_m.twice)
+    return _dot(psi, tpsi).times_i_pow(k)

@@ -61,11 +61,6 @@ def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> b
     return tm == tm1 + tm2 and abs(tj1 - tj2) <= tj <= tj1 + tj2 and (tj1 + tj2 - tj) % 2 == 0
 
 
-def cg_selection_ok(args: CgArgs) -> bool:
-    """True iff m = m1+m2 and j sits in the unit-step ladder |j1-j2|..j1+j2."""
-    return _selection_ok(*args.twices())
-
-
 def _radical_prefactor(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:
     # (2j+1) (j+m)! (j-m)! (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! a! b! c! / (a+b+c+1)!
     # with a = j1+j2-j, b = j+j1-j2, c = j-j1+j2; the triangle part is taken as

@@ -11,10 +11,8 @@ from jcouple.numerics import (
     DomainError,
     GaussianRational,
     HalfInt,
-    Parity,
     PhasedSurdSum,
     Surd,
-    classify,
     factorial_factorized,
     halfint_range,
     parse_halfint,
@@ -60,20 +58,7 @@ class TestParseHalfInt:
         assert str(HalfInt(-1)) == "-1/2"
 
 
-class TestClassify:
-    def test_half(self):
-        assert classify(HalfInt(1)) is Parity.HALF_ODD
-
-    def test_zero_is_natural(self):
-        assert classify(HalfInt(0)) is Parity.NATURAL
-
-    def test_sum_of_two_half_odds(self):
-        assert classify(parse_halfint("1/2") + parse_halfint("3/2")) is Parity.NATURAL
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            classify(HalfInt(-1))
-
+class TestHalfIntClosure:
     def test_closure_table_exhaustive(self):
         # the seven closure rules, over all pairs with twice in [0, 40]
         def even_nat(h):

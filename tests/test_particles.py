@@ -1,23 +1,20 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from jcouple.numerics import DomainError, PhasedSurdSum
-from jcouple.particles import (
-    Leaf,
-    Node,
-    Permutation,
-    antisymmetrize,
-    exchange,
-    is_fermion,
-    particle_from_json,
-    signature,
-    symmetrize,
-)
+from jcouple.numerics import DomainError
+from jcouple.particles import Leaf, Node, is_fermion, particle_from_json
 
 F = Leaf(-1)
 B = Leaf(1)
+
+
+class TestLeaf:
+    @pytest.mark.parametrize("univalence", [True, 1.0, -1.0])
+    def test_non_integer_univalence_rejected(self, univalence):
+        # each compares equal to +-1, so only the type check refuses it
+        with pytest.raises(DomainError, match="leaf univalence must be"):
+            Leaf(univalence)
 
 
 class TestFermionQ:
@@ -111,91 +108,3 @@ class TestFermionQ:
             else:
                 assert is_fermion(expected) == fermion(expected)
         assert 0 < errors < 500  # both valid trees and each error path are drawn
-
-
-class TestPermutations:
-    def test_identity_signature(self):
-        assert signature(Permutation((1, 2, 3))) == 1
-
-    def test_transposition_signature(self):
-        assert signature(Permutation((2, 1, 3))) == -1
-
-    def test_three_cycle_signature(self):
-        assert signature(Permutation((2, 3, 1))) == 1
-
-    def test_not_a_permutation(self):
-        with pytest.raises(DomainError):
-            Permutation((1, 1, 3))
-
-    def test_signature_multiplicative(self):
-        import itertools
-
-        for a in itertools.permutations((1, 2, 3)):
-            for b in itertools.permutations((1, 2, 3)):
-                composed = Permutation(tuple(a[b[i] - 1] for i in range(3)))
-                assert signature(composed) == signature(Permutation(a)) * signature(
-                    Permutation(b)
-                )
-
-
-class TestExchange:
-    def test_outer_swap(self):
-        assert exchange(["a", "b", "c"], (1, 3)) == ["c", "b", "a"]
-
-    def test_involution(self):
-        args = ["a", "b", "c", "d"]
-        assert exchange(exchange(args, (2, 4)), (2, 4)) == args
-
-    def test_pair(self):
-        assert exchange(["a", "b"], (1, 2)) == ["b", "a"]
-
-    def test_bad_indices(self):
-        with pytest.raises(DomainError):
-            exchange(["a", "b"], (1, 3))
-        with pytest.raises(DomainError):
-            exchange(["a", "b"], (2, 2))
-
-
-def _sum_of(q):
-    return PhasedSurdSum({1: Fraction(q)})
-
-
-class TestSymmetrize:
-    def test_symmetric_table_is_fixed(self):
-        table = {key: _sum_of(7) for key in [("x", "y"), ("y", "x")]}
-        assert symmetrize(table, ["x", "y"]) == _sum_of(7)
-
-    def test_antisymmetric_table_symmetrizes_to_zero(self):
-        table = {("x", "y"): _sum_of(3), ("y", "x"): _sum_of(-3)}
-        assert symmetrize(table, ["x", "y"]).is_zero
-
-    def test_antisymmetrize_product_form(self):
-        g = {"x": Fraction(2), "y": Fraction(5)}
-        h = {"x": Fraction(3), "y": Fraction(7)}
-        table = {
-            (a, b): _sum_of(g[a] * h[b]) for a in ("x", "y") for b in ("x", "y")
-        }
-        expected = _sum_of(Fraction(g["x"] * h["y"] - g["y"] * h["x"], 2))
-        assert antisymmetrize(table, ["x", "y"]) == expected
-
-    def test_missing_entry(self):
-        with pytest.raises(DomainError):
-            symmetrize({("x", "y"): _sum_of(1)}, ["x", "y"])
-
-    def test_invariance_under_precomposition(self):
-        import itertools
-
-        rng = random.Random(7)
-        args = ["p", "q", "r", "s"]
-        table = {
-            key: _sum_of(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
-            for key in itertools.permutations(args)
-        }
-        sym = symmetrize(table, args)
-        anti = antisymmetrize(table, args)
-        for perm in itertools.permutations(range(1, 5)):
-            p = Permutation(perm)
-            permuted = p.apply(args)
-            assert symmetrize(table, permuted) == sym
-            expected = anti if signature(p) == 1 else -anti
-            assert antisymmetrize(table, permuted) == expected

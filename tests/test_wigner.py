@@ -17,10 +17,10 @@ from jcouple.numerics import (
 from jcouple.wigner import (
     CgArgs,
     _radical_prefactor,
+    _selection_ok,
     allowed_j,
     cg,
     cg_normalization_sum,
-    cg_selection_ok,
     regge_orbit_audit,
     regge_symbol,
     three_j,
@@ -54,22 +54,22 @@ def _grid_args(tmax):
 
 class TestSelection:
     def test_singlet_channel_exists(self):
-        assert cg_selection_ok(_args("1/2", "1/2", "1/2", "-1/2", "0", "0"))
+        assert _selection_ok(*_args("1/2", "1/2", "1/2", "-1/2", "0", "0").twices())
 
     def test_projection_mismatch(self):
-        assert not cg_selection_ok(_args("1/2", "1/2", "1/2", "1/2", "1", "0"))
+        assert not _selection_ok(*_args("1/2", "1/2", "1/2", "1/2", "1", "0").twices())
 
     def test_triangle_violation(self):
         # (1/2 x 1) only reaches totals 1/2 and 3/2, so j = 0 has no channel
         assert H("0") not in allowed_j(H("1/2"), H("1"))
-        assert not cg_selection_ok(_args("1/2", "1/2", "1", "0", "0", "0"))
+        assert not _selection_ok(*_args("1/2", "1/2", "1", "0", "0", "0").twices())
         # projection sum fine, triangle violated
-        assert not cg_selection_ok(_args("1", "1", "1", "1", "3", "2"))
+        assert not _selection_ok(*_args("1", "1", "1", "1", "3", "2").twices())
 
     def test_nonzero_implies_selection(self):
         for args in _grid_args(4):
             if not cg(args).is_zero:
-                assert cg_selection_ok(args)
+                assert _selection_ok(*args.twices())
 
     def test_malformed_args_rejected(self):
         with pytest.raises(DomainError):
@@ -176,7 +176,7 @@ class TestRadicalPrefactorReference:
     def test_equals_factorized_form(self):
         start = time.perf_counter()
         factorized = functools.cache(factorial_factorized)
-        small = [a.twices() for a in _grid_args(6) if a.j.twice <= 6 and cg_selection_ok(a)]
+        small = [t for t in (a.twices() for a in _grid_args(6)) if t[4] <= 6 and _selection_ok(*t)]
         rng = random.Random(400)
         large = [self._random_tuple(rng, 800) for _ in range(300)]
         assert max(t[4] for t in large) > 600
