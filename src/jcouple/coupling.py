@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, short_repr, short_str
@@ -381,8 +382,10 @@ def enumerate_coupling_trees(n: int, max_leaves: int = 10) -> list[CouplingTree]
 def coupling_trees_json(n: int, max_leaves: int = 10) -> Iterator[str]:
     """json.dumps([t.shape for t in enumerate_coupling_trees(n)]), written in chunks.
 
-    Builds no tree and holds O(n^2) state, so the listing streams at any n the
-    guard admits.  The guard is checked here, before the first chunk.
+    Builds no tree and holds O(n^2) state besides a bounded memo, so the
+    listing streams at any n the guard admits.  Each chunk is one
+    str.translate of a template that holds up to about a thousand schemes
+    (see _listing_chunks).  The guard is checked here, before the first chunk.
     """
     _check_guard(n, max_leaves)
     return _listing_chunks(n)
@@ -390,6 +393,11 @@ def coupling_trees_json(n: int, max_leaves: int = 10) -> Iterator[str]:
 
 # characters of skeletons and templates one listing keeps before it drops them all
 _LISTING_MEMO_CHARS = 1 << 21
+# schemes a template may hold once it is lifted above the (n-1)-leaf trees
+_LISTING_LIFT_SCHEMES = 1024
+# the 112 ASCII characters a template may write for a label digit: none of the
+# listing's own "[], " and digits, and none of a "%s" field
+_LABEL_MARKS = "".join(chr(c) for c in range(128) if chr(c) not in "[], 0123456789%s")
 
 
 def _grown_spans(spans: list[tuple[int, int]], i: int, leaf: str) -> list[tuple[int, int]]:
@@ -415,41 +423,117 @@ def _listing_chunks(n: int) -> Iterator[str]:
     # always as the right child, so the skeletons grown from one skeleton are
     # "[" + s[a:b] + ", %s]" spliced in at each node span (a, b), in the
     # enumeration's order, and the new label follows the labels left of b.
-    # Each chunk is the children of one tree with n-1 leaves: the template of
-    # its skeleton (those children, with the literal n as the new leaf) % its
-    # labels once per child.  Many trees share a skeleton (at n=8, 10,395 trees
-    # with seven leaves share 132), so the memo maps a skeleton to its template,
-    # or to its spans and child skeletons, until the text it holds passes
-    # _LISTING_MEMO_CHARS and it is dropped whole.  The walk is depth first,
-    # one frame per leaf count: a skeleton, its labels, the next span to grow
-    # at and its memo value, which the frame keeps when the memo is dropped.
+    #
+    # Each chunk is every scheme grown from one tree with `level` leaves: its
+    # skeleton's template, translated by a table made from its labels.  A
+    # template writes the leaf at text position p as `width` marks,
+    # _LABEL_MARKS[p * width:(p + 1) * width], one per digit of the widest
+    # label it marks; a shorter label maps its leading marks to None.  So each
+    # mark maps to one ASCII character or to none, and CPython translates on
+    # its one-byte path.  The pool has marks for 112 // width positions; the
+    # positions past them stay %s fields, filled by one % (only n >= 58).
+    #
+    # The template of an (n-1)-leaf skeleton is its 2n-3 children with the
+    # literal n spliced in.  `level` is the smallest leaf count whose trees
+    # have at most _LISTING_LIFT_SCHEMES schemes grown from them (15 chunks of
+    # 693 at n=7; n >= 19 stays at n-1, so no lifted template has a %s field).
+    # Below n-1 leaves a template is lifted: its children's templates joined,
+    # each translated from the child's marks to the parent's (the positions
+    # past the new leaf move down one, and the new leaf's marks become its
+    # literal label), bottom up over an explicit stack.  Many trees share a
+    # skeleton (at n=8, 10,395 trees with seven leaves share 132), so the memo
+    # maps a skeleton to its template, or above `level` to its spans and child
+    # skeletons, until the text it holds passes _LISTING_MEMO_CHARS and it is
+    # dropped whole.  The walk is depth first, one frame per leaf count down
+    # to `level`: a skeleton, its labels, the next span to grow at and its
+    # memo value, which the frame keeps when the memo is dropped.
+    width = len(str(n - 1))  # the widest label a template marks is n-1
+    marked = len(_LABEL_MARKS) // width
+    fields = tuple(_LABEL_MARKS[p * width : (p + 1) * width] for p in range(min(n - 1, marked)))
+    fields += ("%s",) * (n - 1 - len(fields))
+    marks = [ord(mark) for mark in _LABEL_MARKS[: marked * width]]
+    digits = {str(v): (None,) * (width - len(str(v))) + tuple(str(v)) for v in range(1, n)}
+    level, schemes = n - 1, 2 * n - 3
+    while level > 1 and schemes * (2 * level - 3) <= _LISTING_LIFT_SCHEMES:
+        level -= 1
+        schemes *= 2 * level - 1
+
+    def lifted(m: int, k: int) -> dict[int, Optional[int]]:
+        """Child marks to parent marks, for leaf m+1 grown at position k of an m-leaf skeleton."""
+        label = str(m + 1)
+        cut = k * width + width - len(label)  # position k's marks from here spell the label
+        return str.maketrans(
+            _LABEL_MARKS[(k + 1) * width : (m + 1) * width] + _LABEL_MARKS[cut : (k + 1) * width],
+            _LABEL_MARKS[k * width : m * width] + label,
+            _LABEL_MARKS[k * width : cut],
+        )
+
+    lifts = [[lifted(m, k) for k in range(m + 1)] for m in range(level, n - 1)]
     memo: dict[str, Union[str, tuple]] = {}
     stored = 0
-    copies = 2 * n - 3  # the children of a tree with n-1 leaves
 
-    def value_of(skeleton: str, spans: list[tuple[int, int]]) -> Union[str, tuple]:
+    def keep(skeleton: str, value: Union[str, tuple], size: int) -> Union[str, tuple]:
         nonlocal stored
-        if len(spans) == copies:
-            value = ", ".join(
-                [f"{skeleton[:a]}[{skeleton[a:b]}, {n}]{skeleton[b:]}" for a, b in spans]
-            )
-            stored += len(skeleton) + len(value)
-        else:
-            # the child skeletons are built as the walk first reaches each, and counted now
-            value = (spans, [None] * len(spans))
-            stored += len(skeleton) + len(spans) * (len(skeleton) + len("[, %s]"))
         memo[skeleton] = value
+        stored += len(skeleton) + size
         if stored > _LISTING_MEMO_CHARS:
             memo.clear()
             stored = 0
         return value
+
+    def moved(skeleton: str, offset: int) -> int:
+        """Where offset in skeleton falls once its %s fields are filled from fields."""
+        return offset + (width - 2) * min(skeleton.count("%", 0, offset), marked)
+
+    def template_of(skeleton: str, spans: list[tuple[int, int]]) -> str:
+        # a frame is a skeleton, its spans, the table that lifts its template
+        # into its parent's marks, and the lifted templates of its children so far
+        stack = [(skeleton, spans, None, [])]
+        while True:
+            skeleton, spans, lift, parts = stack[-1]
+            if len(spans) < 2 * n - 3 and len(parts) < len(spans):
+                a, b = spans[len(parts)]
+                child = f"{skeleton[:a]}[{skeleton[a:b]}, %s]{skeleton[b:]}"
+                table = lifts[len(spans) // 2 + 1 - level][skeleton.count("%", 0, b)]
+                template = memo.get(child)
+                if template is None:
+                    stack.append((child, _grown_spans(spans, len(parts), "%s"), table, []))
+                else:
+                    parts.append(template.translate(table))
+                continue
+            if parts:
+                template = ", ".join(parts)
+            else:
+                # an (n-1)-leaf skeleton: its children are schemes, spliced into
+                # its marked text at spans that move by each mark's extra width
+                text = skeleton % fields
+                if width != 2:
+                    spans = [(moved(skeleton, a), moved(skeleton, b)) for a, b in spans]
+                template = ", ".join([f"{text[:a]}[{text[a:b]}, {n}]{text[b:]}" for a, b in spans])
+            keep(skeleton, template, len(template))
+            stack.pop()
+            if not stack:
+                return template
+            stack[-1][3].append(template.translate(lift))
+
+    def value_of(skeleton: str, spans: list[tuple[int, int]]) -> Union[str, tuple]:
+        if len(spans) == 2 * level - 1:
+            return template_of(skeleton, spans)
+        # the child skeletons are built as the walk first reaches each, and counted now
+        size = len(spans) * (len(skeleton) + len("[, %s]"))
+        return keep(skeleton, (spans, [None] * len(spans)), size)
 
     frames = [["%s", ("1",), 0, value_of("%s", [(0, 2)])]]
     separator = "["
     while frames:
         skeleton, labels, i, value = frame = frames[-1]
         if type(value) is str:
-            yield separator + value % (labels * copies)
+            table = dict(zip(marks, chain.from_iterable(map(digits.__getitem__, labels))))
+            # one expression each, so no filled copy of a large template outlives its use
+            if len(labels) > marked:
+                yield separator + (value % (labels[marked:] * schemes)).translate(table)
+            else:
+                yield separator + value.translate(table)
             separator = ", "
             frames.pop()
             continue

@@ -30,6 +30,9 @@ class Node:
     def __post_init__(self) -> None:
         if not self.children:
             raise DomainError("a compound particle needs at least one subparticle")
+        for child in self.children:
+            if not isinstance(child, (Leaf, Node)):
+                raise DomainError(f"a subparticle must be a Leaf or a Node, got {short_repr(child)}")
 
 
 ParticleTree = Union[Leaf, Node]

@@ -17,6 +17,15 @@ class TestLeaf:
             Leaf(univalence)
 
 
+class TestNode:
+    @pytest.mark.parametrize("child", ["x", -1, None, (F, F), "y" * 1000])
+    def test_non_particle_child_rejected(self, child):
+        # built, such a node would fail later inside is_fermion with an AttributeError
+        with pytest.raises(DomainError, match="subparticle must be a Leaf or a Node") as raised:
+            Node((F, child))
+        assert "\n" not in str(raised.value) and len(str(raised.value)) < 200
+
+
 class TestFermionQ:
     def test_fermion_leaf(self):
         assert is_fermion(F)
