@@ -32,7 +32,6 @@ from .numerics import (
     check_table_size,
     halfint_range,
     parse_halfint,
-    projection_range,
     short_repr,
     twice_text,
 )
@@ -127,17 +126,17 @@ def _surd_text(value: Fraction) -> str:
 
 
 def _couple_json(
-    chain: CouplingChain, total_m: HalfInt, amplitudes: dict[tuple[int, ...], Fraction]
+    chain: CouplingChain, total_m: HalfInt, amplitudes: Iterator[tuple[tuple[int, ...], Fraction]]
 ) -> Iterator[str]:
     """json.dumps of the couple payload, written as the terms are rendered.
 
-    The terms come from the walk's {twice ms: signed square} table in walk
-    order; no HalfInt or Surd is built for them.
+    The terms are the walk's (twice ms, signed square) pairs, taken one at a
+    time in walk order; no table, HalfInt or Surd is built for them.
     """
     names = _names(max(j.twice for j in chain.js))
     yield f'{{"chain": {json.dumps(chain.to_json_dict())}, "m": "{total_m}", "terms": ['
     sep = ""
-    for tms, value in amplitudes.items():
+    for tms, value in amplitudes:
         yield f'{sep}{{"ms": {_list_text([names[t] for t in tms])}, "amp": {_surd_text(value)}}}'
         sep = ", "
     yield "]}\n"
@@ -350,11 +349,10 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     """
     from .coupling import enumerate_chains, jmax, jmin
     from .timerev import (
-        audit_second_symmetry,
         check_compatibility,
         coupled_univalence,
         first_symmetry_audits,
-        kramers_overlap,
+        overlap_audits,
         t_squared_sign,
     )
 
@@ -381,10 +379,9 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
                 )
         return
     if ns.prop == "second-sym":
-        overlap = functools.partial(audit_second_symmetry, interpretation=ns.interpretation)
-        extra = f', "interpretation": "{ns.interpretation}"'
+        kind, extra = ns.interpretation, f', "interpretation": "{ns.interpretation}"'
     else:
-        overlap, extra = kramers_overlap, ""
+        kind, extra = "kramers", ""
     names = _names(n * top.twice)  # the largest |twice m| a first-sym record prints
     for js in _js_tuples(n, top):
         for chain in enumerate_chains(js):
@@ -398,8 +395,7 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
                         f'"verdict": "{audit.verdict}"}}\n'
                     )
             elif chain.total_j.is_half_odd:  # second-sym, kramers
-                for m in projection_range(chain.total_j):
-                    value = overlap(chain, m)
+                for m, value in overlap_audits(chain, kind):
                     terms = ", ".join(
                         [
                             f'{{"root": "{r}", "re": "{c.re!s}", "im": "{c.im!s}"}}'

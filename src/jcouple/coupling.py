@@ -150,54 +150,75 @@ def _twices(chain: CouplingChain) -> tuple[list[int], list[int]]:
 
 def _amplitudes(
     tjs: Sequence[int], partials: Sequence[int], ttotal: int
-) -> dict[tuple[int, ...], Fraction]:
-    """{twice ms: signed square} of the coupled state at twice total m, nonzero entries only.
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """(twice ms, signed square) of each nonzero amplitude of the coupled state at twice total m.
 
-    A walk along the chain that extends every live prefix one step at a time,
-    in itertools.product order: step k draws only the twice m_k whose running
-    sum t_next keeps |t_next| <= partials[k] and can still reach ttotal with
-    the momenta after it, and the last projection is ttotal minus the running
-    sum.  Each prefix's product is multiplied once and shared by all of its
-    suffixes; a zero drops the prefix's whole subtree.  No argument is checked
-    here: callers check the total (j, m) first, which makes every drawn
-    (j_k, m_k) valid.
+    A depth-first walk along the chain on an explicit stack of range
+    iterators, in itertools.product order: level k draws only the running
+    sums t_next whose |t_next| <= partials[k] and that can still reach
+    ttotal with the momenta after it, and the last projection is ttotal
+    minus the running sum.  Each level keeps the product of its steps as
+    an unreduced (numerator, denominator) pair of the kernel's values,
+    shared by all of its suffixes; a zero step drops the prefix's whole
+    subtree, and one Fraction is built per amplitude kept.  An invalid
+    total (j, m) yields nothing.  No other argument is checked here: a
+    valid total makes every drawn (j_k, m_k) valid.
     """
     n = len(tjs)
+    top = partials[-1]
+    if abs(ttotal) > top or (top - ttotal) % 2:
+        return
+    if n == 1:
+        yield (ttotal,), Fraction(1)
+        return
     rest = [0] * (n + 1)  # rest[k]: twice the largest |m| the momenta k.. can sum to
     for k in range(n - 1, -1, -1):
         rest[k] = rest[k + 1] + tjs[k]
+
+    def draws(k: int, t_run: int) -> Iterator[int]:
+        # every bound has the parity of t_next, so the steps of 2 hit each allowed value
+        lo = max(t_run - tjs[k], -partials[k], ttotal - rest[k + 1])
+        hi = min(t_run + tjs[k], partials[k], ttotal + rest[k + 1])
+        return iter(range(lo, hi + 1, 2))
+
     kernel = _cg_signed_square
-    # (tms[:k], its sum, the product of steps 1..k-1) for every live prefix after k steps
-    live: list[tuple[tuple[int, ...], int, Fraction]] = [((), 0, Fraction(1))]
-    for k in range(n - 1):
-        grown = []
-        for prefix, t_run, value in live:
-            # every bound has the parity of t_next, so the steps of 2 hit each allowed value
-            lo = max(t_run - tjs[k], -partials[k], ttotal - rest[k + 1])
-            hi = min(t_run + tjs[k], partials[k], ttotal + rest[k + 1])
-            for t_next in range(lo, hi + 1, 2):
-                tm = t_next - t_run
-                step = value
-                if k:
-                    step *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], t_next)
-                if step:
-                    grown.append((prefix + (tm,), t_next, step))
-        live = grown
-    k = n - 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for prefix, t_run, value in live:
-        tm = ttotal - t_run
-        if k:
-            value *= kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], ttotal)
-        if value:
-            out[prefix + (tm,)] = value
-    return out
+    last = n - 1
+    tms = [0] * n  # the twice m_k of the path
+    # one frame per level of the path: the running sums left to draw, the
+    # running sum before the level and the product of steps 1..k-1
+    stack = [(draws(0, 0), 0, 1, 1)]
+    while stack:
+        k = len(stack) - 1
+        sums, t_run, num, den = stack[-1]
+        for t_next in sums:
+            tm = t_next - t_run
+            if k:
+                step = kernel(partials[k - 1], t_run, tjs[k], tm, partials[k], t_next)
+                p, q = step.as_integer_ratio()
+                if not p:
+                    continue
+                p, q = num * p, den * q
+            else:
+                p, q = num, den
+            tms[k] = tm
+            if k < last - 1:
+                stack.append((draws(k + 1, t_next), t_next, p, q))
+                break
+            # the last projection is what the running sum leaves of ttotal
+            tm = ttotal - t_next
+            step = kernel(partials[k], t_next, tjs[last], tm, top, ttotal)
+            p_last, q_last = step.as_integer_ratio()
+            if p_last:
+                tms[last] = tm
+                yield tuple(tms), Fraction(p * p_last, q * q_last)
+        else:
+            stack.pop()
 
 
 def _state_amplitudes(
     chain: CouplingChain, total_m: HalfInt
-) -> dict[tuple[int, ...], Fraction]:
-    """_amplitudes of |chain, total_m>, after the one check of the total (j, m)."""
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """The walk of |chain, total_m>, returned after the one check of the total (j, m)."""
     check_momentum_pair(chain.total_j, total_m, "total (j, m)")
     return _amplitudes(*_twices(chain), total_m.twice)
 
@@ -232,7 +253,7 @@ def expand_coupled_state(chain: CouplingChain, total_m: HalfInt) -> StateExpansi
     """All nonzero amplitudes over projection tuples with sum(ms) = total_m, in product order."""
     amplitudes = {
         tuple(map(HalfInt, tms)): Surd.from_signed_square(value)
-        for tms, value in _state_amplitudes(chain, total_m).items()
+        for tms, value in _state_amplitudes(chain, total_m)
     }
     return StateExpansion(chain, total_m, amplitudes)
 

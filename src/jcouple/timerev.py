@@ -17,12 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import neg
 from typing import Iterator, Literal, Sequence
 
 from .coupling import (
     CouplingChain,
     StateExpansion,
+    _amplitudes,
     _chain_signed_square,
     _state_amplitudes,
     _twices,
@@ -30,7 +32,15 @@ from .coupling import (
     jmax,
     jmin,
 )
-from .numerics import DomainError, HalfInt, PhasedSurdSum, Surd
+from .numerics import (
+    DomainError,
+    GaussianRational,
+    HalfInt,
+    PhasedSurdSum,
+    Surd,
+    projection_range,
+    squarefree_decomposition,
+)
 
 
 def t_squared_sign(j: HalfInt) -> int:
@@ -142,17 +152,61 @@ def _dot(
 ) -> PhasedSurdSum:
     """Sum over ms of bra(ms) * ket(ms), on {twice ms: signed square} amplitudes.
 
-    Both are real, so that is the overlap <bra|ket>; tuples missing from ket add 0.
+    Both are real, so that is the overlap <bra|ket>; tuples missing from ket
+    add 0, and neither holds a zero, as the walk yields none.  A pair whose
+    signed squares multiply to p / q (not reduced) is the value
+    sign(p) * sqrt(|p| / q) = sign(p) * s * sqrt(r) / q, with |p| * q =
+    s**2 * r and r squarefree, so it adds sign(p) * s / q to the
+    coefficient of sqrt(r); one PhasedSurdSum is built from the
+    coefficients that do not cancel.
     """
-    acc = PhasedSurdSum.zero()
+    coefficients: dict[int, tuple[int, int]] = {}  # r -> (numerator, denominator)
     for tms, v in bra.items():
         w = ket.get(tms)
         if w is not None:
-            acc = acc + Surd.from_signed_square(v * w).to_sum()
-    return acc
+            p, q = v.as_integer_ratio()
+            wp, wq = w.as_integer_ratio()
+            p *= wp
+            q *= wq
+            s, r = squarefree_decomposition(abs(p) * q)
+            if p < 0:
+                s = -s
+            acc = coefficients.get(r)
+            if acc is None:
+                coefficients[r] = s, q
+            else:
+                # over the least common denominator, so the integers stay as small as the sums
+                a, b = acc
+                d = b // gcd(b, q) * q
+                coefficients[r] = a * (d // b) + s * (d // q), d
+    zero = Fraction(0)
+    return PhasedSurdSum._raw(
+        {r: GaussianRational(Fraction(a, b), zero) for r, (a, b) in coefficients.items() if a}
+    )
 
 
 Interpretation = Literal["paper-literal", "same-state"]
+
+
+def _check_second_symmetry(chain: CouplingChain, interpretation: Interpretation) -> None:
+    if interpretation not in ("paper-literal", "same-state"):
+        raise DomainError(f"unknown interpretation {interpretation!r}")
+    if not chain.total_j.is_half_odd:
+        raise DomainError(f"total momentum {chain.total_j} is not half-odd")
+
+
+def _second_symmetry(ket: dict, partner: dict, ttotal: int, tpartner: int) -> PhasedSurdSum:
+    """The second-symmetry sum of the tables at twice total m ttotal and at its partner's."""
+    # C(-ms; m') is the reversed partner's amplitude at ms; the audit keeps
+    # its own phase i^(-2m), not T's
+    _, flipped = _reversed(partner, tpartner)
+    return _dot(ket, flipped).times_i_pow(-ttotal)
+
+
+def _kramers(psi: dict, ttotal: int) -> PhasedSurdSum:
+    """<psi|T psi> of the table psi at twice total m ttotal."""
+    k, tpsi = _reversed(psi, ttotal)
+    return _dot(psi, tpsi).times_i_pow(k)
 
 
 def audit_second_symmetry(
@@ -166,17 +220,11 @@ def audit_second_symmetry(
     term by term.  Under "paper-literal" it carries m' = -m as printed, and
     the value is reported as computed.
     """
-    if interpretation not in ("paper-literal", "same-state"):
-        raise DomainError(f"unknown interpretation {interpretation!r}")
-    if not chain.total_j.is_half_odd:
-        raise DomainError(f"total momentum {chain.total_j} is not half-odd")
+    _check_second_symmetry(chain, interpretation)
     partner_m = -total_m if interpretation == "paper-literal" else total_m
-    ket = _state_amplitudes(chain, total_m)
-    partner = ket if partner_m == total_m else _state_amplitudes(chain, partner_m)
-    # C(-ms; m') is the reversed partner's amplitude at ms; the audit keeps
-    # its own phase i^(-2m), not T's
-    _, flipped = _reversed(partner, partner_m.twice)
-    return _dot(ket, flipped).times_i_pow(-total_m.twice)
+    ket = dict(_state_amplitudes(chain, total_m))
+    partner = ket if partner_m == total_m else dict(_state_amplitudes(chain, partner_m))
+    return _second_symmetry(ket, partner, total_m.twice, partner_m.twice)
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
@@ -187,6 +235,34 @@ def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     the coupled univalence is -1 (half-odd total j) the supports of psi and
     T psi are disjoint projection tuples and the sum is exactly empty.
     """
-    psi = _state_amplitudes(chain, total_m)
-    k, tpsi = _reversed(psi, total_m.twice)
-    return _dot(psi, tpsi).times_i_pow(k)
+    return _kramers(dict(_state_amplitudes(chain, total_m)), total_m.twice)
+
+
+def overlap_audits(
+    chain: CouplingChain, kind: Literal["kramers", "paper-literal", "same-state"]
+) -> Iterator[tuple[HalfInt, PhasedSurdSum]]:
+    """(m, value) at every projection m of the chain's total j, ascending.
+
+    The value equals kramers_overlap(chain, m) for kind "kramers", and
+    audit_second_symmetry(chain, m, kind) for an interpretation.  The
+    amplitude table at each m is walked at most once, so paper-literal,
+    which pairs the tables at m and -m, builds each table once, not twice.
+    """
+    if kind != "kramers":
+        _check_second_symmetry(chain, kind)
+    tjs, partials = _twices(chain)
+    tables: dict[int, dict[tuple[int, ...], Fraction]] = {}  # twice m -> the walk's table
+
+    def table(ttotal: int) -> dict[tuple[int, ...], Fraction]:
+        out = tables.get(ttotal)
+        if out is None:
+            out = tables[ttotal] = dict(_amplitudes(tjs, partials, ttotal))
+        return out
+
+    for m in projection_range(chain.total_j):
+        tm = m.twice
+        if kind == "kramers":
+            yield m, _kramers(table(tm), tm)
+        else:
+            tpartner = -tm if kind == "paper-literal" else tm
+            yield m, _second_symmetry(table(tm), table(tpartner), tm, tpartner)

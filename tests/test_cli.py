@@ -225,6 +225,19 @@ with open("/proc/self/status") as status:
     sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
+
+def _peak_kib(*argv):
+    """The peak RSS in KiB of a child that runs main on argv, or only imports it."""
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    assert run.returncode == 0
+    return int(run.stderr)
+
+
 # runs main under a 256 MB address-space cap, so a request that tries to build
 # a huge table fails with this child's MemoryError, not the test run's
 CAPPED_CHILD = """
@@ -283,19 +296,9 @@ class TestNoEnumerationCliff:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_listing_memory_is_flat(self):
-        def peak_kib(*argv):
-            run = subprocess.run(
-                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                timeout=60,
-            )
-            assert run.returncode == 0
-            return int(run.stderr)
-
-        floor = peak_kib()
+        floor = _peak_kib()
         # 135,135 trees; building them all peaks about 60 MB above the floor
-        assert peak_kib("schemes", "--n", "8") - floor < 16 * 1024
+        assert _peak_kib("schemes", "--n", "8") - floor < 16 * 1024
 
 
 class TestKeplerCliff:
@@ -336,19 +339,9 @@ class TestKeplerCliff:
         # Fraction energies beside it the run peaked about 53 MB above the
         # floor, on twice integers about 31 MB (Python 3.11); the bound sits
         # between the two to leave room for other versions' object sizes
-        def peak_kib(*argv):
-            proc = subprocess.run(
-                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                timeout=60,
-            )
-            assert proc.returncode == 0
-            return int(proc.stderr)
-
-        floor = peak_kib()
+        floor = _peak_kib()
         argv = ["kepler", "--z", "1", "--jcut", "99999/2", "--stats", "boson", "--format", "csv"]
-        assert peak_kib(*argv) - floor < 42 * 1024
+        assert _peak_kib(*argv) - floor < 42 * 1024
 
     def test_a_million_particles_at_jcut_zero(self):
         # one level of 10^6 zeros; an energy denominator multiplied by 4 (t+1)^2
@@ -597,22 +590,24 @@ class TestCoupleCliff:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_long_chain_streams(self):
-        def peak_kib(*argv):
-            run = subprocess.run(
-                [sys.executable, "-c", PEAK_HWM_CHILD, *argv],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                timeout=60,
-            )
-            assert run.returncode == 0
-            return int(run.stderr)
-
         n = 600
         # the stretched intermediates 2/2, 3/2, ..., 599/2
         intermediates = ",".join(f"{t}/2" for t in range(2, n))
         argv = ["couple", "--js", ",".join(["1/2"] * n), "--intermediates", intermediates]
-        floor = peak_kib()
-        assert peak_kib(*argv, "--j", "300", "--m", "299") - floor < 24 * 1024
+        floor = _peak_kib()
+        assert _peak_kib(*argv, "--j", "300", "--m", "299") - floor < 24 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_many_terms_stream_in_flat_memory(self):
+        """Seven j=3 momenta at J=21, M=0: 8.3 MB of terms, none of them held.
+
+        Collecting the walk into one table before rendering peaked about
+        30 MB above the import floor; the terms are rendered as the walk
+        yields them.
+        """
+        argv = ["couple", "--js", ",".join(["3"] * 7), "--intermediates", "6,9,12,15,18"]
+        floor = _peak_kib()
+        assert _peak_kib(*argv, "--j", "21", "--m", "0") - floor < 12 * 1024
 
 
 class TestVerifyStreams:

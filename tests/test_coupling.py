@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -317,6 +318,58 @@ class TestPrunedWalk:
                 assert Counter(calls) == _minimal_calls(kernel, tjs, partials, m.twice)
                 total_calls += len(calls)
         assert total_calls > 0
+
+
+def _walk_by_total(tjs, partials):
+    """{twice total m: [(twice ms, signed square) of each nonzero chain product]}.
+
+    Each list is in product order.
+    """
+    by_total = {}
+    for tms in itertools.product(*(range(-t, t + 1, 2) for t in tjs)):
+        value = coupling._chain_signed_square(tjs, partials, tms)
+        if value:
+            by_total.setdefault(sum(tms), []).append((tms, value))
+    return by_total
+
+
+class TestWalkAgainstBruteForce:
+    """The depth-first walk against every projection tuple, on twice integers.
+
+    Every total is tried, from past -(sum of js) to past +(sum of js) in
+    unit steps, so the totals that no tuple reaches (out of range, or of the
+    wrong parity) must yield nothing.
+    """
+
+    def _check(self, tjs, partials, ttotal, by_total):
+        walked = list(coupling._amplitudes(tjs, partials, ttotal))
+        assert walked == by_total.get(ttotal, [])
+        return len(walked)
+
+    def test_every_small_chain(self):
+        kept = 0
+        for chain in TestChainProductReference()._chains():  # n <= 4, every j <= 1
+            tjs, partials = coupling._twices(chain)
+            by_total = _walk_by_total(tjs, partials)
+            top = sum(tjs)
+            for ttotal in range(-top - 3, top + 4):
+                kept += self._check(tjs, partials, ttotal, by_total)
+        assert kept > 0
+
+    def test_seeded_random_chains(self):
+        rng = random.Random(20071019)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            js = tuple(HalfInt(rng.randint(0, 5)) for _ in range(n))
+            chain = CouplingChain(js, (), js[0]) if n == 1 else rng.choice(enumerate_chains(js))
+            tjs, partials = coupling._twices(chain)
+            top = sum(tjs)
+            ttotal = rng.randint(-top - 2, top + 2)
+            self._check(tjs, partials, ttotal, _walk_by_total(tjs, partials))
+
+    def test_total_is_checked_before_the_walk_starts(self):
+        with pytest.raises(DomainError, match="total"):
+            coupling._state_amplitudes(_chain(["1/2", "1/2"], [], "1"), H("3/2"))
 
 
 class TestExpansion:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from jcouple import timerev
+from jcouple import coupling, timerev
+from jcouple.cli import main
 from jcouple.coupling import (
     CouplingChain,
     StateExpansion,
@@ -29,6 +30,7 @@ from jcouple.timerev import (
     coupled_univalence,
     first_symmetry_audits,
     kramers_overlap,
+    overlap_audits,
     t_squared_sign,
 )
 
@@ -364,3 +366,100 @@ class TestFlipOverlapReference:
                 audit_second_symmetry(chain, H(m), interpretation)
         with pytest.raises(DomainError):
             kramers_overlap(chain, H(m))
+
+
+def _dot_reference(bra, ket):
+    """The contraction as one Surd and one to_sum per matching pair, added one by one."""
+    acc = PhasedSurdSum.zero()
+    for tms, v in bra.items():
+        w = ket.get(tms)
+        if w is not None:
+            acc = acc + Surd.from_signed_square(v * w).to_sum()
+    return acc
+
+
+class TestContraction:
+    """The integer contraction against the per-pair surd sum, and the per-chain audits.
+
+    Every chain with n <= 3 and every j <= 3/2 (n = 1 included), at every m:
+    the contractions of both interpretations and of Kramers, and the
+    per-chain audits of the chains whose total j is half-odd.
+    """
+
+    def _chains(self):
+        for n in (1, 2, 3):
+            for js in _js_tuples(n, 3):
+                yield from [CouplingChain(js, (), js[0])] if n == 1 else enumerate_chains(js)
+
+    def _pairs(self, chain):
+        """(bra, ket) of every contraction the audits of the chain make."""
+        tjs, partials = coupling._twices(chain)
+        top = chain.total_j.twice
+        tables = {
+            tm: dict(coupling._amplitudes(tjs, partials, tm)) for tm in range(-top, top + 1, 2)
+        }
+        for tm, table in tables.items():
+            for tpartner in (tm, -tm):  # same-state and Kramers, paper-literal
+                yield table, timerev._reversed(tables[tpartner], tpartner)[1]
+
+    def test_matches_per_pair_surd_sum(self):
+        contractions = nonzero = 0
+        for chain in self._chains():
+            for bra, ket in self._pairs(chain):
+                value = timerev._dot(bra, ket)
+                assert value == _dot_reference(bra, ket)
+                contractions += 1
+                nonzero += not value.is_zero
+        assert contractions > 1000 and nonzero > 0
+
+    def test_cancelled_root_is_dropped(self):
+        # sqrt(1/4) - sqrt(1/4) on sqrt(1) cancels; 2 * sqrt(1/2) = sqrt(2) stays
+        bra = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2), (3,): Fraction(2)}
+        ket = {(1,): Fraction(1, 2), (-1,): Fraction(-1, 2), (3,): Fraction(1), (5,): Fraction(1)}
+        value = timerev._dot(bra, ket)
+        assert value == _dot_reference(bra, ket) == PhasedSurdSum({2: Fraction(1)})
+        assert [r for r, _ in value.items()] == [2]
+        assert timerev._dot({(1,): Fraction(1, 3)}, {(1,): Fraction(-1, 3)}) == PhasedSurdSum(
+            {1: Fraction(-1, 3)}
+        )
+
+    def test_chain_audits_match_the_per_m_audits(self):
+        for chain in self._chains():
+            if not chain.total_j.is_half_odd:
+                continue
+            ms = list(projection_range(chain.total_j))
+            for interpretation in ("paper-literal", "same-state"):
+                expected = [(m, audit_second_symmetry(chain, m, interpretation)) for m in ms]
+                assert list(overlap_audits(chain, interpretation)) == expected
+            expected = [(m, kramers_overlap(chain, m)) for m in ms]
+            assert list(overlap_audits(chain, "kramers")) == expected
+
+    def test_chain_audit_refuses_an_integral_total(self):
+        chain = _chain(["1/2", "1/2"], [], "1")
+        with pytest.raises(DomainError, match="not half-odd"):
+            next(overlap_audits(chain, "paper-literal"))
+        with pytest.raises(DomainError, match="unknown interpretation"):
+            next(overlap_audits(_chain(["1/2"], [], "1/2"), "literal"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--prop", "second-sym", "--grid", "n=3,jmax=3/2"],
+            ["--prop", "second-sym", "--grid", "n=3,jmax=3/2", "--interpretation", "same-state"],
+            ["--prop", "kramers", "--grid", "n=3,jmax=3/2"],
+        ],
+    )
+    def test_verify_walks_each_table_once(self, monkeypatch, capsys, argv):
+        calls = Counter()
+        walk = timerev._amplitudes
+
+        def counting(tjs, partials, ttotal):
+            calls[tuple(tjs), tuple(partials), ttotal] += 1
+            return walk(tjs, partials, ttotal)
+
+        monkeypatch.setattr(timerev, "_amplitudes", counting)
+        assert main(["verify", *argv]) == 0
+        records = capsys.readouterr().out.count("\n")
+        # one table per record, each (chain, m) of a half-odd total once
+        assert len(calls) == records > 0
+        assert set(calls.values()) == {1}
