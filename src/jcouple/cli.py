@@ -239,28 +239,6 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
     yield "]}\n"
 
 
-def _check_count_digits(z: int, j_cut: HalfInt, fermion: bool) -> None:
-    """Refuses a spectrum whose counts pass the interpreter's int-to-str digit limit.
-
-    Every count kepler prints, per level or summed over a merged group, is at
-    most that count summed over all levels.  With n = 2 jcut + 1 the sums are
-    2 (1 + ... + n)^z, plus 2z n^z for fermions, and (1^2 + ... + n^2)^z,
-    times 2^z for fermions.  At the default limit of 4300 digits the first
-    refusal is the fermion count 2^z at jcut=0 and z=14285.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    n = j_cut.twice + 1
-    paper = 2 * (n * (n + 1) // 2) ** z + (2 * z * n**z if fermion else 0)
-    enum = (n * (n + 1) * (2 * n + 1) // 6) ** z << (z if fermion else 0)
-    count = max(paper, enum)
-    # under 2**(3 limit) < 10**limit the power need not be formed
-    if limit and count.bit_length() > 3 * limit and count >= 10**limit:
-        raise DomainError(
-            f"number out of range, too many digits: the degeneracy counts at z={z}, "
-            f"jcut={j_cut}"
-        )
-
-
 def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
 
@@ -271,7 +249,7 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     and json.dumps write them (no csv field needs quoting), because a
     json.dumps call per multiset costs more than the rest of its work.
     """
-    from .kepler import Statistics, _spectrum_walk, kramers_applicability
+    from .kepler import Statistics, _check_count_digits, _spectrum_walk, kramers_applicability
 
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)

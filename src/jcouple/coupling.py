@@ -14,8 +14,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, short_repr, short_str
-from .wigner import _cg_signed_square, allowed_j
+from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair
+from .numerics import short_repr, short_str
+from .wigner import _cg_signed_square, _ladder
 
 TreeShape = Union[int, tuple]
 
@@ -24,10 +25,9 @@ def jmax(js: Sequence[HalfInt]) -> HalfInt:
     """Largest total momentum: the plain sum."""
     if len(js) < 2:
         raise DomainError("jmax needs at least two momenta")
+    check_momenta(js)
     total = 0
     for j in js:
-        if j.twice < 0:
-            raise DomainError(f"momentum must be nonnegative, got {j}")
         total += j.twice
     return HalfInt(total)
 
@@ -36,11 +36,9 @@ def jmin(js: Sequence[HalfInt]) -> HalfInt:
     """Smallest total momentum, by the prefix recursion min |i - j_n|."""
     if len(js) < 2:
         raise DomainError("jmin needs at least two momenta")
-    if any(j.twice < 0 for j in js):
-        raise DomainError("momenta must be nonnegative")
-    lo = abs(js[0].twice - js[1].twice)
-    hi = js[0].twice + js[1].twice
-    for j in js[2:]:
+    check_momenta(js)
+    lo = hi = js[0].twice  # the totals so far are the ladder lo, lo+1, ..., hi
+    for j in js[1:]:
         t = j.twice
         if t < lo:
             lo, hi = lo - t, hi + t
@@ -68,19 +66,17 @@ class CouplingChain:
         n = len(self.js)
         if n < 1:
             raise DomainError("a chain needs at least one momentum")
-        if any(j.twice < 0 for j in self.js):
-            raise DomainError("momenta must be nonnegative")
+        check_momenta(self.js)
         if len(self.intermediates) != max(0, n - 2):
             raise DomainError(
                 f"expected {max(0, n - 2)} intermediates for n={n}, got {len(self.intermediates)}"
             )
-        for partial, (prev, j_new) in zip(
-            self.partial_totals()[1:], zip(self.partial_totals(), self.js[1:])
-        ):
-            if partial not in allowed_j(prev, j_new):
+        totals = self.partial_totals()
+        for k in range(1, n):
+            if totals[k].twice not in _ladder(totals[k - 1].twice, self.js[k].twice):
                 raise DomainError(
-                    f"{short_str(partial)} not an allowed coupling of "
-                    f"{short_str(prev)} and {short_str(j_new)}"
+                    f"{short_str(totals[k])} not an allowed coupling of "
+                    f"{short_str(totals[k - 1])} and {short_str(self.js[k])}"
                 )
         if n == 1 and self.total_j != self.js[0]:
             raise DomainError("single-momentum chain must have total_j = j1")
@@ -110,16 +106,15 @@ def enumerate_chains(
     if len(js) < 2:
         raise DomainError("chain enumeration needs at least two momenta")
     js = tuple(js)
-    # (intermediates so far, partial total), extended one momentum at a time in order
-    prefixes = [((), j12) for j12 in allowed_j(js[0], js[1])]
-    for j in js[2:]:
-        prefixes = [
-            (inter + (partial,), nxt) for inter, partial in prefixes for nxt in allowed_j(partial, j)
-        ]
+    check_momenta(js)
+    # twice partial totals j1, j12, j123, ..., extended one momentum at a time in order
+    prefixes = [(js[0].twice,)]
+    for j in js[1:]:
+        prefixes = [p + (t,) for p in prefixes for t in _ladder(p[-1], j.twice)]
     return [
-        CouplingChain(js, inter, partial)
-        for inter, partial in prefixes
-        if total_j is None or partial == total_j
+        CouplingChain(js, tuple(map(HalfInt, p[1:-1])), HalfInt(p[-1]))
+        for p in prefixes
+        if total_j is None or p[-1] == total_j.twice
     ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .numerics import (
     GaussianRational,
     HalfInt,
     SparseSum,
+    check_momenta,
     check_table_size,
     short_str,
 )
@@ -173,8 +175,7 @@ def energy_level(j: HalfInt) -> Fraction:
     The spectrum walk sums these on twice integers; this and the two
     degeneracy functions below are the reference it is tested against.
     """
-    if j.twice < 0:
-        raise DomainError(f"momentum must be nonnegative, got {j}")
+    check_momenta((j,))
     t = j.twice
     return Fraction(-t * t, 4 * (t + 1) ** 2)
 
@@ -182,8 +183,7 @@ def energy_level(j: HalfInt) -> Fraction:
 def _check_js(js: Sequence[HalfInt]) -> None:
     if not js:
         raise DomainError("need at least one momentum")
-    if any(j.twice < 0 for j in js):
-        raise DomainError("momenta must be nonnegative")
+    check_momenta(js)
 
 
 def degeneracy_paper(js: Sequence[HalfInt], statistics: Statistics) -> int:
@@ -303,6 +303,27 @@ def _multiset_fields(key: tuple[int, ...], fermion: bool) -> tuple[int, int, int
         z = len(key)
         return num // g, den // g, 2 * prod + 2 * z, prod * prod << z
     return num // g, den // g, 2 * prod, prod * prod
+
+
+def _check_count_digits(z: int, j_cut: HalfInt, fermion: bool) -> None:
+    """Refuses a spectrum whose counts pass the interpreter's int-to-str digit limit.
+
+    Every count kepler prints, per level or summed over a merged group, is at
+    most that count summed over all levels.  With n = 2 jcut + 1 the sums of
+    _multiset_fields' counts are 2 (1 + ... + n)^z, plus 2z n^z for fermions,
+    and (1^2 + ... + n^2)^z, times 2^z for fermions.  At the default limit of
+    4300 digits the first refusal is the fermion count 2^z at jcut=0 and z=14285.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    n = j_cut.twice + 1
+    paper = 2 * (n * (n + 1) // 2) ** z + (2 * z * n**z if fermion else 0)
+    enum = (n * (n + 1) * (2 * n + 1) // 6) ** z << (z if fermion else 0)
+    count = max(paper, enum)
+    # under 2**(3 limit) < 10**limit the power need not be formed
+    if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+        raise DomainError(
+            f"number out of range, too many digits: the degeneracy counts at z={z}, jcut={j_cut}"
+        )
 
 
 def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel]:

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 
 class DomainError(ValueError):
@@ -112,10 +112,16 @@ def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:
 
 def projection_range(j: HalfInt) -> Iterator[HalfInt]:
     """Projections -j, -j+1, ..., +j of a momentum j >= 0."""
-    if j.twice < 0:
-        raise DomainError(f"momentum must be nonnegative, got {j}")
+    check_momenta((j,))
     for t in range(-j.twice, j.twice + 1, 2):
         yield HalfInt(t)
+
+
+def check_momenta(js: Iterable[HalfInt]) -> None:
+    """The one nonnegativity rule for momenta: the first negative j is refused."""
+    for j in js:
+        if j.twice < 0:
+            raise DomainError(f"momentum must be nonnegative, got {short_str(j)}")
 
 
 def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:

@@ -38,6 +38,7 @@ from .numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
+    check_momenta,
     projection_range,
     squarefree_decomposition,
 )
@@ -45,15 +46,13 @@ from .numerics import (
 
 def t_squared_sign(j: HalfInt) -> int:
     """(-1)^(2j): +1 on integral j, -1 on half-odd j (the univalence)."""
-    if j.twice < 0:
-        raise DomainError(f"momentum must be nonnegative, got {j}")
+    check_momenta((j,))
     return -1 if j.twice % 2 else 1
 
 
 def coupled_univalence(js: Sequence[HalfInt]) -> int:
     """Univalence of any total momentum coupled from js: parity of the half-odd count."""
-    if any(j.twice < 0 for j in js):
-        raise DomainError("momenta must be nonnegative")
+    check_momenta(js)
     return -1 if sum(1 for j in js if j.is_half_odd) % 2 else 1
 
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .numerics import (
-    DomainError,
-    HalfInt,
-    Surd,
-    check_momentum_pair,
-    halfint_range,
-)
+from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair
 
 
 @dataclass(frozen=True)
@@ -49,16 +43,20 @@ class CgArgs:
         )
 
 
+def _ladder(ta: int, tb: int) -> range:
+    """The one coupling ladder: twice |a-b|, |a-b|+1, ..., a+b, for momenta twice ta and tb."""
+    return range(abs(ta - tb), ta + tb + 1, 2)
+
+
 def allowed_j(j1: HalfInt, j2: HalfInt) -> list[HalfInt]:
     """The total momenta |j1-j2|, |j1-j2|+1, ..., j1+j2."""
-    if j1.twice < 0 or j2.twice < 0:
-        raise DomainError("momenta must be nonnegative")
-    return list(halfint_range(abs(j1 - j2), j1 + j2))
+    check_momenta((j1, j2))
+    return [HalfInt(t) for t in _ladder(j1.twice, j2.twice)]
 
 
 def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> bool:
-    """m = m1+m2 and j in the unit-step ladder |j1-j2|..j1+j2, on twice-arguments."""
-    return tm == tm1 + tm2 and abs(tj1 - tj2) <= tj <= tj1 + tj2 and (tj1 + tj2 - tj) % 2 == 0
+    """m = m1+m2 and j on the ladder of j1 and j2, on twice-arguments."""
+    return tm == tm1 + tm2 and tj in _ladder(tj1, tj2)
 
 
 def _radical_prefactor(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:

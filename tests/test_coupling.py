@@ -34,6 +34,7 @@ from jcouple.numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
+    halfint_range,
     parse_halfint,
     projection_range,
 )
@@ -125,6 +126,68 @@ class TestEnumerateChains:
         assert chain.partial_totals() == (H("1/2"),)
         with pytest.raises(DomainError):
             _chain(["1/2"], [], "3/2")
+
+
+def _reference_chains(js):
+    """Chain enumeration as a prefix walk over allowed totals lists of HalfInt values."""
+
+    def allowed(a, b):
+        return list(halfint_range(abs(a - b), a + b))
+
+    prefixes = [((), j12) for j12 in allowed(js[0], js[1])]
+    for j in js[2:]:
+        prefixes = [(inter + (p,), nxt) for inter, p in prefixes for nxt in allowed(p, j)]
+    return [CouplingChain(tuple(js), inter, p) for inter, p in prefixes]
+
+
+class TestEnumerationReference:
+    """enumerate_chains walks the ladder on twice integers; the reference walks HalfInt lists.
+
+    Every js with 2 <= n <= 5 and 2j <= 3, unfiltered and filtered by every
+    total from 0 to one step past jmax; the lists match chain for chain, in
+    order.
+    """
+
+    def test_matches_the_prefix_walk(self):
+        compared = 0
+        for n in (2, 3, 4, 5):
+            for js in _js_tuples(n, 3):
+                expected = _reference_chains(js)
+                assert enumerate_chains(js) == expected
+                for t in range(sum(j.twice for j in js) + 2):
+                    total = HalfInt(t)
+                    assert enumerate_chains(js, total) == [
+                        c for c in expected if c.total_j == total
+                    ]
+                compared += len(expected)
+        assert compared > 10_000
+
+
+class TestOffLadderRefusal:
+    """A partial total off the ladder of its two momenta is refused with the same text."""
+
+    @pytest.mark.parametrize(
+        "js, intermediates, total, message",
+        [
+            (["1", "1"], [], "3", "3 not an allowed coupling of 1 and 1"),
+            (["1", "1"], [], "1/2", "1/2 not an allowed coupling of 1 and 1"),
+            (["2", "1/2"], [], "1/2", "1/2 not an allowed coupling of 2 and 1/2"),
+            (["2", "1/2", "1"], ["5/2"], "9/2", "9/2 not an allowed coupling of 5/2 and 1"),
+            (["1", "1", "1"], ["-1"], "1", "-1 not an allowed coupling of 1 and 1"),
+        ],
+        ids=["above", "parity", "below", "last-step", "negative-intermediate"],
+    )
+    def test_refusal_text(self, js, intermediates, total, message):
+        with pytest.raises(DomainError) as info:
+            _chain(js, intermediates, total)
+        assert str(info.value) == message
+
+    def test_echo_is_cut(self):
+        digits = "7" * 4000
+        with pytest.raises(DomainError) as info:
+            _chain(["1", "1", "1"], [digits], "1")
+        echo = f"{'7' * 60}... (4000 characters)"
+        assert str(info.value) == f"{echo} not an allowed coupling of 1 and 1"
 
 
 class TestGeneralizedCoefficient:

@@ -31,9 +31,11 @@ grid with an empty entry, which is skipped, were recorded before the kepler
 walk took over the per-multiset memo.  The n=8 listing was recorded before
 the listing was rendered from skeleton templates, and the two grid refusals
 at n = 10^12 and 10^30 (a MemoryError and an OverflowError traceback before)
-pin the grid's enumeration guard.  The last two cases pin the refusal of a
-fermion count 2^z past the int-to-str digit limit, in json and csv, which
-ended in a ValueError traceback before.
+pin the grid's enumeration guard.  The two cases before the last pin the
+refusal of a fermion count 2^z past the int-to-str digit limit, in json and
+csv, which ended in a ValueError traceback before.  The last case pins the
+one nonnegativity message for a list of momenta, recorded when it replaced
+"momenta must be nonnegative".
 Everything runs in-process and takes well under a second.
 """
 
@@ -370,6 +372,11 @@ GOLDEN_ERRORS = [
         None,
         ("kepler", "--z", "14285", "--jcut", "0", "--stats", "fermion", "--format", "csv"),
         f"error: number out of range, too many digits: {KEPLER_COUNTS}\n",
+    ),
+    (
+        None,
+        ("couple", "--js", "1,-1", "--j", "0", "--m", "0"),
+        "error: momentum must be nonnegative, got -1\n",
     ),
 ]
 

@@ -17,6 +17,7 @@ from jcouple.kepler import (
     LieBasisElement,
     LieExpression,
     Statistics,
+    _check_count_digits,
     _spectrum_walk,
     basis_commutator,
     commutator,
@@ -118,6 +119,13 @@ class TestDegeneracies:
 
 
 class TestSpectrum:
+    def test_counts_past_the_digit_limit_are_built(self):
+        # the digit bound belongs to the kepler command, which refuses this request
+        (level,) = spectrum(14285, H("0"), Statistics.FERMION_HALF)
+        assert level.degeneracy_enumerated == 2**14285
+        with pytest.raises(DomainError, match="too many digits"):
+            _check_count_digits(14285, H("0"), True)
+
     def test_z1_boson_levels(self):
         levels = spectrum(1, H("1"), Statistics.BOSON0)
         assert [level.energy for level in levels] == [

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jcouple.kepler import LieBasisElement, LieExpression
+from jcouple.coupling import CouplingChain, enumerate_chains, jmax, jmin
+from jcouple.kepler import (
+    LieBasisElement,
+    LieExpression,
+    Statistics,
+    degeneracy_enumerated,
+    degeneracy_paper,
+    energy_level,
+)
 from jcouple.numerics import (
     DomainError,
     GaussianRational,
@@ -19,6 +27,53 @@ from jcouple.numerics import (
     projection_range,
     squarefree_decomposition,
 )
+from jcouple.timerev import coupled_univalence, t_squared_sign
+from jcouple.wigner import allowed_j
+
+
+NEGATIVE = parse_halfint("-1/2")
+# a negative momentum after a valid one and before another negative one
+MOMENTA = (parse_halfint("1"), NEGATIVE, parse_halfint("-2"))
+
+
+class TestOneNonnegativityRule:
+    """Every public function that takes momenta refuses a negative one in the same words.
+
+    The text is check_momenta's, naming the first negative momentum.
+    """
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: jmax(MOMENTA),
+            lambda: jmin(MOMENTA),
+            lambda: CouplingChain(MOMENTA, (parse_halfint("1"),), parse_halfint("0")),
+            lambda: enumerate_chains(MOMENTA),
+            lambda: allowed_j(parse_halfint("1"), NEGATIVE),
+            lambda: coupled_univalence(MOMENTA),
+            lambda: t_squared_sign(NEGATIVE),
+            lambda: list(projection_range(NEGATIVE)),
+            lambda: energy_level(NEGATIVE),
+            lambda: degeneracy_paper(MOMENTA, Statistics.BOSON0),
+            lambda: degeneracy_enumerated(MOMENTA, Statistics.FERMION_HALF),
+        ],
+        ids=[
+            "jmax", "jmin", "CouplingChain", "enumerate_chains", "allowed_j",
+            "coupled_univalence", "t_squared_sign", "projection_range", "energy_level",
+            "degeneracy_paper", "degeneracy_enumerated",
+        ],
+    )
+    def test_message(self, call):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == "momentum must be nonnegative, got -1/2"
+
+    def test_echo_is_cut(self):
+        with pytest.raises(DomainError) as info:
+            jmax([parse_halfint("1"), parse_halfint("-" + "9" * 4000)])
+        assert str(info.value) == (
+            f"momentum must be nonnegative, got -{'9' * 59}... (4001 characters)"
+        )
 
 
 class TestParseHalfInt:
