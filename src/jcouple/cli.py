@@ -394,6 +394,8 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that treats -1/2 and -0.5 as values, not option names."""
 
+    subparsers: dict[str, argparse.ArgumentParser]
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
@@ -405,7 +407,8 @@ def _add_cg_like(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["json", "plain"], default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
+    """The top-level parser; its subparsers map each subcommand name to that command's parser."""
     parser = _Parser(
         prog="jcouple",
         description="Exact angular-momentum coupling coefficients, scheme "
@@ -483,17 +486,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=cmd_kepler)
 
+    parser.subparsers = dict(subs.choices)
     return parser
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
+def _shared_parser() -> _Parser:
     """One parser per process: building it costs more than most commands."""
     return build_parser()
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The top-level parse_args, with one walk of an argv led by a subcommand name.
+
+    The top-level parser would hand everything after the name to that
+    subcommand's parser, so that parser alone parses it, into a namespace
+    that holds the top-level defaults, and the top-level parser reports what
+    it leaves.  Every other argv (empty, led by an option, an unknown or
+    abbreviated name, or "--") goes through the top-level parser, so help,
+    usage and error texts stay its own.
+    """
+    parser = _shared_parser()
+    sub = parser.subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    ns, extras = sub.parse_known_args(argv[1:], argparse.Namespace(quiet=False, command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return ns
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = _shared_parser().parse_args(argv)
+    ns = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         texts = ns.handler(ns)
         write = sys.stdout.write

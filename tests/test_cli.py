@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN, GOLDEN_ERRORS
 
 from jcouple import cli
 from jcouple.cli import main
@@ -92,6 +94,119 @@ class TestGlobalFlags:
     def test_quiet_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "--quiet", "schemes", "--n", "2", "--count-only")
         assert code == 0 and out == "1\n"
+
+
+def _benchmark_argvs():
+    """One argv of each option shape in the benchmark's recorded digests, in file order."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected_digests.json"
+    shapes = {}
+    for key in json.loads(path.read_text(encoding="utf-8")):
+        argv = tuple(key.split(" "))
+        shapes.setdefault((argv[0], *(a for a in argv if a.startswith("--"))), argv)
+    return list(shapes.values())
+
+
+KEPLER_ARGV = ("kepler", "--z", "1", "--jcut", "0", "--stats", "boson")
+DISPATCH_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--quiet",),
+    ("--quiet", "-h"),
+    ("--quiet", "schemes", "--n", "2", "--count-only"),
+    ("--quiet", "--quiet", "schemes", "--n", "2", "--count-only"),
+    ("--qu", "schemes", "--n", "2", "--count-only"),
+    ("--quiet=1", "schemes", "--n", "2", "--count-only"),
+    ("schemes", "--n", "2", "--count-only", "--quiet"),
+    (*KEPLER_ARGV, "--quiet"),
+    ("kepler", "--quiet"),
+    ("kepler", "-h"),
+    ("kepler", "--help"),
+    ("cg", "--help"),
+    ("schemes", "--n", "2", "-h"),
+    ("nosuch",),
+    ("nosuch", "--n", "2"),
+    ("kep", "--z", "1", "--jcut", "0", "--stats", "boson"),
+    ("schem", "--n", "2"),
+    (*KEPLER_ARGV, "--bogus"),
+    (*KEPLER_ARGV, "--bogus", "1", "extra"),
+    (*KEPLER_ARGV, "--stats", "fermion"),
+    ("schemes", "--n", "2", "--n", "3", "--count-only"),
+    ("schemes", "--n", "3", "--count"),
+    ("schemes", "--n=3", "--count-only"),
+    ("diagram", "--n=3", "--labels=a,b,c", "--scheme=1"),
+    ("--", "schemes", "--n", "2", "--count-only"),
+    ("schemes", "--", "--n", "2"),
+    (*KEPLER_ARGV, "--"),
+    ("kepler", "--z", "1"),
+    ("kepler", "--z", "x", "--jcut", "0", "--stats", "boson"),
+    ("kepler", "--z", "1", "--jcut", "0", "--stats", "anyon"),
+    ("cg", "--j1", "-1/2", "--m1", "-0.5"),
+    ("classify", "[-1]", "[-1]"),
+]
+
+
+class TestDispatch:
+    """main parses an argv led by a subcommand name with that subcommand's parser alone.
+
+    Every argv gives what the full parser's parse_args gives: the same
+    namespace, exit code, stdout and stderr, for every golden argv, one argv
+    of each shape the benchmark runs, and the help, usage and error cases
+    above.  A top-level option whose default the dispatch does not set
+    fails here.
+    """
+
+    @staticmethod
+    def _outcome(capsys, monkeypatch, parse, argv):
+        """(vars of each namespace main got, exit code, stdout, stderr) with parse as main's parse."""
+        seen = []
+
+        def spy(args):
+            ns = parse(args)
+            seen.append(dict(vars(ns)))
+            return ns
+
+        monkeypatch.setattr(cli, "_parse_args", spy)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return seen, code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in GOLDEN]
+        + [argv for _, argv, _ in GOLDEN_ERRORS]
+        + _benchmark_argvs()
+        + DISPATCH_ARGVS,
+    )
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("JCOUPLE_MAX_TREES", raising=False)
+        dispatched = self._outcome(capsys, monkeypatch, cli._parse_args, argv)
+        full = self._outcome(capsys, monkeypatch, lambda a: cli.build_parser().parse_args(a), argv)
+        assert dispatched == full
+
+    def test_subcommand_argv_skips_the_top_level_parse(self, capsys, monkeypatch):
+        parser = cli._shared_parser()
+        calls = []
+        parse_known_args = parser.parse_known_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+        assert main(list(KEPLER_ARGV)) == 0
+        assert main(["diagram", "--n", "3"]) == 0
+        assert main(["schemes", "--n", "3", "--count-only"]) == 0
+        with pytest.raises(SystemExit):
+            main([*KEPLER_ARGV, "--quiet"])
+        assert calls == []
+        # the counter sees the top-level parse when the argv needs it
+        assert main(["--quiet", "schemes", "--n", "2", "--count-only"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
 
 class TestThreeJCommand:
