@@ -99,7 +99,7 @@ def parse_halfint(text: str) -> HalfInt:
         raise DomainError(
             f"{short_repr(text)} is not in N/2 (denominator {short_repr(q.denominator)})"
         )
-    return HalfInt(int(q * 2))
+    return HalfInt(q.numerator * (2 // q.denominator))
 
 
 def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:
@@ -126,8 +126,7 @@ def check_momenta(js: Iterable[HalfInt]) -> None:
 
 def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
     """The one (j, m) validity rule: j >= 0, |m| <= j, and j - m integral."""
-    if j.twice < 0:
-        raise DomainError(f"{name}: momentum must be nonnegative, got {short_str(j)}")
+    check_momenta((j,))
     if abs(m.twice) > j.twice:
         raise DomainError(f"{name}: |m|={short_str(abs(m))} exceeds j={short_str(j)}")
     if (j.twice + m.twice) % 2:

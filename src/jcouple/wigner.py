@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
-from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair
+from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair, twice_text
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,17 @@ def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> 
     return total
 
 
+def _three_j_from_cg(
+    sign: int, radicand: Fraction, tj1: int, tj2: int, tj3: int, tm3: int
+) -> tuple[int, Fraction]:
+    """(sign, radicand) of a 3j symbol from those of C = <j1 m1 j2 m2|j3, -m3>, unchecked.
+
+    The one place a 3j symbol's phase and scale are applied, on twice-arguments.
+    Where C is nonzero, j1-j2-m3 = (j1+m1)+(j2+m2)-2j2 is an integer.
+    """
+    return (-sign if (tj1 - tj2 - tm3) % 4 else sign), radicand / (tj3 + 1)
+
+
 def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3: HalfInt) -> Surd:
     """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) = (-1)^(j1-j2-m3)/sqrt(2j3+1) * <j1 m1 j2 m2|j3, -m3>.
 
@@ -124,16 +136,9 @@ def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3:
     odd permutations scaled by the univalence of j1+j2+j3).
     """
     value = cg(CgArgs(j1, m1, j2, m2, j3, -m3))
-    if value.is_zero:
-        return Surd.zero()
-    phase_twice = j1.twice - j2.twice - m3.twice
-    if phase_twice % 2:
-        raise DomainError(
-            "nonzero coefficient with half-odd phase exponent j1-j2-m3: "
-            f"({j1} {j2} {j3}; {m1} {m2} {m3})"
-        )
-    phase = -1 if (phase_twice // 2) % 2 else 1
-    return Surd(phase * value.sign, value.radicand / (j3.twice + 1))
+    return Surd(
+        *_three_j_from_cg(value.sign, value.radicand, j1.twice, j2.twice, j3.twice, m3.twice)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +147,10 @@ def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3:
 
 @dataclass(frozen=True)
 class RSymbol:
-    """3x3 magic square of nonnegative integers encoding a 3j symbol."""
+    """3x3 magic square of nonnegative integers encoding a 3j symbol.
+
+    Column i holds j_i + m_i and j_i - m_i in rows 2 and 3.
+    """
 
     rows: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -160,14 +168,6 @@ class RSymbol:
     def magic_sum(self) -> int:
         return sum(self.rows[0])
 
-    def to_three_j_args(self) -> tuple[HalfInt, ...]:
-        """Recover (j1, m1, j2, m2, j3, m3): column i holds j_i +/- m_i in rows 2, 3."""
-        args: list[HalfInt] = []
-        for i in range(3):
-            args.append(HalfInt(self.rows[1][i] + self.rows[2][i]))
-            args.append(HalfInt(self.rows[1][i] - self.rows[2][i]))
-        return tuple(args)
-
 
 def regge_symbol(
     a: HalfInt, alpha: HalfInt, b: HalfInt, beta: HalfInt, c: HalfInt, gamma: HalfInt
@@ -176,30 +176,22 @@ def regge_symbol(
     check_momentum_pair(a, alpha, "(a, alpha)")
     check_momentum_pair(b, beta, "(b, beta)")
     check_momentum_pair(c, gamma, "(c, gamma)")
-    if (alpha + beta + gamma).twice != 0:
+    tjs, tms = (a.twice, b.twice, c.twice), (alpha.twice, beta.twice, gamma.twice)
+    if sum(tms):
         raise DomainError("projections must sum to zero")
-    first = (-a + b + c, a - b + c, a + b - c)
-    second = (a + alpha, b + beta, c + gamma)
-    third = (a - alpha, b - beta, c - gamma)
     rows = []
-    for row in (first, second, third):
-        ints = []
-        for entry in row:
-            if entry.twice % 2 or entry.twice < 0:
+    for row in (
+        tuple(sum(tjs) - 2 * tj for tj in tjs),
+        tuple(tj + tm for tj, tm in zip(tjs, tms)),
+        tuple(tj - tm for tj, tm in zip(tjs, tms)),
+    ):
+        for t in row:
+            if t % 2 or t < 0:
                 raise DomainError(
-                    f"entry {entry} is not a nonnegative integer; triangle rule violated"
+                    f"entry {twice_text(t)} is not a nonnegative integer; triangle rule violated"
                 )
-            ints.append(entry.twice // 2)
-        rows.append(tuple(ints))
+        rows.append(tuple(t // 2 for t in row))
     return RSymbol(tuple(rows))
-
-
-_EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-_ODD_PERMS = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
-
-
-def _perm_sign(perm: tuple[int, int, int]) -> int:
-    return 1 if perm in _EVEN_PERMS else -1
 
 
 @dataclass(frozen=True)
@@ -215,22 +207,27 @@ class ReggeAuditEntry:
         return self.claimed == self.actual
 
 
-def _transformed_squares(rs: RSymbol) -> list[tuple[str, int, RSymbol]]:
-    out: list[tuple[str, int, RSymbol]] = [("identity", 1, rs)]
-    for perm in sorted(_EVEN_PERMS + _ODD_PERMS):
-        if perm == (0, 1, 2):
-            continue
-        name = "".join(str(i + 1) for i in perm)
-        out.append((f"rows:{name}", _perm_sign(perm), RSymbol(tuple(rs.rows[i] for i in perm))))
-    for perm in sorted(_EVEN_PERMS + _ODD_PERMS):
-        if perm == (0, 1, 2):
-            continue
-        name = "".join(str(i + 1) for i in perm)
-        cols = tuple(tuple(row[i] for i in perm) for row in rs.rows)
-        out.append((f"cols:{name}", _perm_sign(perm), RSymbol(cols)))
-    transposed = tuple(tuple(rs.rows[j][i] for j in range(3)) for i in range(3))
-    out.append(("transpose", 1, RSymbol(transposed)))
-    return out
+_IDENTITY = (0, 1, 2)
+# the other five permutations of three, in lexicographic order, with their signs
+_PERMUTATIONS = (((0, 2, 1), -1), ((1, 0, 2), -1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
+# each audited element: (name, claimed multiplier, row permutation, column permutation, transpose)
+_ORBIT = (
+    ("identity", 1, _IDENTITY, _IDENTITY, False),
+    *((f"rows:{p[0] + 1}{p[1] + 1}{p[2] + 1}", s, p, _IDENTITY, False) for p, s in _PERMUTATIONS),
+    *((f"cols:{p[0] + 1}{p[1] + 1}{p[2] + 1}", s, _IDENTITY, p, False) for p, s in _PERMUTATIONS),
+    ("transpose", 1, _IDENTITY, _IDENTITY, True),
+)
+
+
+def _orbit_arguments(
+    rows: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[str, int, tuple[int, ...]]]:
+    """(name, claimed multiplier, twice 3j arguments) of each audited transform of a square."""
+    for name, claimed, row_perm, col_perm, transpose in _ORBIT:
+        square = [[rows[r][c] for c in col_perm] for r in row_perm]
+        if transpose:
+            square = list(zip(*square))
+        yield name, claimed, tuple(x for p, q in zip(square[1], square[2]) for x in (p + q, p - q))
 
 
 def regge_orbit_audit(
@@ -240,18 +237,19 @@ def regge_orbit_audit(
 
     The multiplier of each transformed 3j relative to the base is computed by
     exact evaluation on both sides; nothing is assumed about which symmetry
-    rule is correct.
+    rule is correct.  Each transform permutes the base's one square as plain
+    integers and is evaluated on the twice-arguments read off its columns.
     """
     base = three_j(a, alpha, b, beta, c, gamma)
     if base.is_zero:
         raise DomainError("orbit audit needs a nonzero base 3j value")
-    rs = regge_symbol(a, alpha, b, beta, c, gamma)
     entries = []
-    for name, claimed, square in _transformed_squares(rs):
-        value = three_j(*square.to_three_j_args())
-        if value.radicand != base.radicand:
-            raise DomainError(
-                f"transform {name} changed the magnitude: {value} vs {base}"
-            )
-        entries.append(ReggeAuditEntry(name, claimed, value.sign * base.sign))
+    square = regge_symbol(a, alpha, b, beta, c, gamma).rows
+    for name, claimed, (tj1, tm1, tj2, tm2, tj3, tm3) in _orbit_arguments(square):
+        value = _cg_signed_square(tj1, tm1, tj2, tm2, tj3, -tm3)
+        sign, radicand = _three_j_from_cg(1 if value > 0 else -1, abs(value), tj1, tj2, tj3, tm3)
+        if radicand != base.radicand:
+            changed = Surd.from_signed_square(sign * radicand)
+            raise DomainError(f"transform {name} changed the magnitude: {changed} vs {base}")
+        entries.append(ReggeAuditEntry(name, claimed, sign * base.sign))
     return entries

@@ -378,6 +378,11 @@ GOLDEN_ERRORS = [
         ("couple", "--js", "1,-1", "--j", "0", "--m", "0"),
         "error: momentum must be nonnegative, got -1\n",
     ),
+    (
+        None,
+        ("cg", "--j1", "-1", "--m1", "0", "--j2", "0", "--m2", "0", "--j", "1", "--m", "0"),
+        "error: momentum must be nonnegative, got -1\n",
+    ),
 ]
 
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jcouple.coupling import CouplingChain, enumerate_chains, jmax, jmin
+from jcouple.coupling import (
+    CouplingChain,
+    enumerate_chains,
+    expand_coupled_state,
+    generalized_coupling_coefficient,
+    jmax,
+    jmin,
+)
 from jcouple.kepler import (
     LieBasisElement,
     LieExpression,
@@ -28,12 +35,22 @@ from jcouple.numerics import (
     squarefree_decomposition,
 )
 from jcouple.timerev import coupled_univalence, t_squared_sign
-from jcouple.wigner import allowed_j
+from jcouple.wigner import CgArgs, allowed_j, cg, cg_normalization_sum, regge_symbol, three_j
 
 
 NEGATIVE = parse_halfint("-1/2")
 # a negative momentum after a valid one and before another negative one
 MOMENTA = (parse_halfint("1"), NEGATIVE, parse_halfint("-2"))
+ONE, HALF = parse_halfint("1"), parse_halfint("1/2")
+
+
+def _unchecked_chain(js, total_j):
+    """A chain built past CouplingChain's own check, so the function under test must refuse it."""
+    chain = object.__new__(CouplingChain)
+    object.__setattr__(chain, "js", js)
+    object.__setattr__(chain, "intermediates", ())
+    object.__setattr__(chain, "total_j", total_j)
+    return chain
 
 
 class TestOneNonnegativityRule:
@@ -56,11 +73,21 @@ class TestOneNonnegativityRule:
             lambda: energy_level(NEGATIVE),
             lambda: degeneracy_paper(MOMENTA, Statistics.BOSON0),
             lambda: degeneracy_enumerated(MOMENTA, Statistics.FERMION_HALF),
+            # the (j, m) pair checks: the first pair's momentum is the negative one
+            lambda: cg(CgArgs(NEGATIVE, HALF, HALF, HALF, ONE, ONE)),
+            lambda: three_j(NEGATIVE, HALF, HALF, HALF, ONE, -ONE),
+            lambda: regge_symbol(NEGATIVE, HALF, HALF, HALF, ONE, -ONE),
+            lambda: cg_normalization_sum(NEGATIVE, HALF, HALF, HALF),
+            lambda: expand_coupled_state(_unchecked_chain((ONE, HALF), NEGATIVE), HALF),
+            lambda: generalized_coupling_coefficient(
+                _unchecked_chain((ONE, NEGATIVE), HALF), (ONE, HALF), HALF
+            ),
         ],
         ids=[
             "jmax", "jmin", "CouplingChain", "enumerate_chains", "allowed_j",
             "coupled_univalence", "t_squared_sign", "projection_range", "energy_level",
-            "degeneracy_paper", "degeneracy_enumerated",
+            "degeneracy_paper", "degeneracy_enumerated", "cg", "three_j", "regge_symbol",
+            "cg_normalization_sum", "expand_coupled_state", "generalized_coupling_coefficient",
         ],
     )
     def test_message(self, call):

@@ -11,11 +11,15 @@ from jcouple.numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
+    check_momentum_pair,
     factorial_factorized,
     parse_halfint,
 )
 from jcouple.wigner import (
     CgArgs,
+    ReggeAuditEntry,
+    RSymbol,
+    _orbit_arguments,
     _radical_prefactor,
     _selection_ok,
     allowed_j,
@@ -346,3 +350,136 @@ class TestReggeOrbitAudit:
     def test_zero_base_rejected(self):
         with pytest.raises(DomainError):
             regge_orbit_audit(H("1"), H("0"), H("1"), H("0"), H("1"), H("0"))
+
+
+class TestReggeReference:
+    """three_j, regge_symbol and the orbit audit against the route they replaced.
+
+    The reference builds the square from HalfInt sums, and evaluates each
+    transform as an RSymbol read back to HalfInt arguments and a three_j of
+    two Surds.  Refusals are compared by their text.
+    """
+
+    _EVEN = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    _ODD = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+
+    @staticmethod
+    @functools.cache  # a transform's arguments recur as other tuples and their transforms
+    def _three_j(j1, m1, j2, m2, j3, m3):
+        value = cg(CgArgs(j1, m1, j2, m2, j3, -m3))
+        if value.is_zero:
+            return Surd.zero()
+        phase = -1 if ((j1.twice - j2.twice - m3.twice) // 2) % 2 else 1
+        return Surd(phase * value.sign, value.radicand / (j3.twice + 1))
+
+    @staticmethod
+    def _regge_symbol(a, alpha, b, beta, c, gamma):
+        check_momentum_pair(a, alpha, "(a, alpha)")
+        check_momentum_pair(b, beta, "(b, beta)")
+        check_momentum_pair(c, gamma, "(c, gamma)")
+        if (alpha + beta + gamma).twice != 0:
+            raise DomainError("projections must sum to zero")
+        rows = []
+        for row in (
+            (-a + b + c, a - b + c, a + b - c),
+            (a + alpha, b + beta, c + gamma),
+            (a - alpha, b - beta, c - gamma),
+        ):
+            for entry in row:
+                if entry.twice % 2 or entry.twice < 0:
+                    raise DomainError(
+                        f"entry {entry} is not a nonnegative integer; triangle rule violated"
+                    )
+            rows.append(tuple(entry.twice // 2 for entry in row))
+        return RSymbol(tuple(rows))
+
+    @classmethod
+    def _squares(cls, rs):
+        """(name, claimed, RSymbol) of each of the 12 transforms, in the audit's order."""
+        out = [("identity", 1, rs)]
+        for kind in ("rows", "cols"):
+            for perm in sorted(cls._EVEN + cls._ODD)[1:]:
+                sign = 1 if perm in cls._EVEN else -1
+                name = f"{kind}:" + "".join(str(i + 1) for i in perm)
+                if kind == "rows":
+                    rows = tuple(rs.rows[i] for i in perm)
+                else:
+                    rows = tuple(tuple(row[i] for i in perm) for row in rs.rows)
+                out.append((name, sign, RSymbol(rows)))
+        out.append(("transpose", 1, RSymbol(tuple(zip(*rs.rows)))))
+        return out
+
+    @staticmethod
+    def _arguments(square):
+        """Twice (j1, m1, j2, m2, j3, m3): column i holds j_i +/- m_i in rows 2, 3."""
+        return tuple(
+            x
+            for i in range(3)
+            for x in (square.rows[1][i] + square.rows[2][i], square.rows[1][i] - square.rows[2][i])
+        )
+
+    @classmethod
+    def _audit(cls, *args):
+        """The audit's entries, each with the arguments its transform was evaluated on."""
+        base = cls._three_j(*args)
+        if base.is_zero:
+            raise DomainError("orbit audit needs a nonzero base 3j value")
+        entries = []
+        for name, claimed, square in cls._squares(cls._regge_symbol(*args)):
+            arguments = cls._arguments(square)
+            value = cls._three_j(*map(HalfInt, arguments))
+            if value.radicand != base.radicand:
+                raise DomainError(f"transform {name} changed the magnitude: {value} vs {base}")
+            entries.append((ReggeAuditEntry(name, claimed, value.sign * base.sign), arguments))
+        return entries
+
+    @staticmethod
+    def _outcome(f, args):
+        try:
+            return f(*args)
+        except DomainError as exc:
+            return f"refused: {exc}"
+
+    @staticmethod
+    def _tuples():
+        """Every tuple of valid pairs with 2j <= 8 and m1 + m2 + m3 = 0.
+
+        Those with 2j <= 4 come again with m3 off by 1/2 and by 1, for the
+        refusals of the third (j, m) pair and of the projection sum.
+        """
+        pairs = [(tj, tm) for tj in range(9) for tm in range(-tj, tj + 1, 2)]
+        balanced = [
+            (tj1, tm1, tj2, tm2, tj3, tm3)
+            for (tj1, tm1), (tj2, tm2), (tj3, tm3) in itertools.product(pairs, repeat=3)
+            if tm1 + tm2 + tm3 == 0
+        ]
+        assert len(balanced) == 5339
+        small = [t for t in balanced if max(t[::2]) <= 4]
+        for shift, tuples in ((0, balanced), (1, small), (2, small)):
+            for *rest, tm3 in tuples:
+                yield tuple(map(HalfInt, (*rest, tm3 + shift)))
+
+    def test_matches_reference_route(self):
+        start = time.perf_counter()
+        refusals = set()
+        audited = 0
+        for args in self._tuples():
+            assert self._outcome(three_j, args) == self._outcome(self._three_j, args), args
+            symbol = self._outcome(regge_symbol, args)
+            assert symbol == self._outcome(self._regge_symbol, args), args
+            audit = self._outcome(regge_orbit_audit, args)
+            reference = self._outcome(self._audit, args)
+            if isinstance(reference, str):
+                assert audit == reference, args
+                refusals.add(reference)
+                continue
+            audited += 1
+            assert audit == [entry for entry, _ in reference], args
+            # each transform reads the square it names: a row permutation is not a column one
+            assert list(_orbit_arguments(symbol.rows)) == [
+                (e.transform, e.claimed, a) for e, a in reference
+            ], args
+        assert audited == 4338
+        # zero bases, triangle entries and each (j, m) check of the third pair
+        assert len(refusals) > 10, refusals
+        assert time.perf_counter() - start < 6.0
