@@ -98,7 +98,6 @@ _EXPORTS = {
                 "CgArgs",
                 "ReggeAuditEntry",
                 "RSymbol",
-                "allowed_j",
                 "cg",
                 "cg_normalization_sum",
                 "regge_orbit_audit",

@@ -25,6 +25,7 @@ from .numerics import (
     SparseSum,
     check_momenta,
     check_table_size,
+    short_repr,
     short_str,
 )
 
@@ -54,7 +55,7 @@ class LieBasisElement:
 
     def __post_init__(self) -> None:
         if self.family not in ("L", "M"):
-            raise DomainError(f"family must be 'L' or 'M', got {self.family!r}")
+            raise DomainError(f"family must be 'L' or 'M', got {short_repr(self.family)}")
         if self.particle < 1:
             raise DomainError("particle index starts at 1")
         if self.axis not in (1, 2, 3):

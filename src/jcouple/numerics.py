@@ -21,19 +21,20 @@ class DomainError(ValueError):
     """A quantum-number or representation constraint was violated."""
 
 
-def short_str(obj) -> str:
-    """str(obj) cut at 60 characters, so an error line stays short for any input."""
-    text = str(obj)
+def short_str(obj, render=str) -> str:
+    """render(obj), str by default, cut at 60 characters; never raises, so errors may echo it."""
+    try:
+        text = render(obj)
+    except ValueError:  # an int past the interpreter's int-to-str digit limit (4300 by default)
+        return f"<{type(obj).__name__} with too many digits to print>"
+    except RecursionError:  # repr recurses once per nesting level
+        return f"<{type(obj).__name__} nested too deeply to print>"
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def short_repr(obj) -> str:
     """repr(obj) cut at 60 characters, as short_str cuts str."""
-    try:
-        return short_str(repr(obj))
-    except RecursionError:
-        # repr recurses once per nesting level; an echo must not fail the error it is in
-        return f"<{type(obj).__name__} nested too deeply to print>"
+    return short_str(obj, repr)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ class HalfInt:
 
     def __post_init__(self) -> None:
         if not isinstance(self.twice, int) or isinstance(self.twice, bool):
-            raise DomainError(f"twice must be an integer, got {self.twice!r}")
+            raise DomainError(f"twice must be an integer, got {short_repr(self.twice)}")
 
     @property
     def is_integral(self) -> bool:
@@ -105,7 +106,7 @@ def parse_halfint(text: str) -> HalfInt:
 def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:
     """Values lo, lo+1, ..., hi in unit steps (empty when hi < lo)."""
     if (hi.twice - lo.twice) % 2:
-        raise DomainError(f"range {lo}..{hi} does not step in units")
+        raise DomainError(f"range {short_str(lo)}..{short_str(hi)} does not step in units")
     for t in range(lo.twice, hi.twice + 1, 2):
         yield HalfInt(t)
 
@@ -162,9 +163,10 @@ class Surd:
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+            raise DomainError(f"sign must be -1, 0 or +1, got {short_repr(self.sign)}")
         if not isinstance(self.radicand, Fraction) or self.radicand < 0:
-            raise DomainError(f"radicand must be a nonnegative Fraction, got {self.radicand!r}")
+            shown = short_repr(self.radicand)
+            raise DomainError(f"radicand must be a nonnegative Fraction, got {shown}")
         if (self.sign == 0) != (self.radicand == 0):
             raise DomainError("sign is zero exactly when the radicand is zero")
 
@@ -181,7 +183,7 @@ class Surd:
         """The nonnegative square root of q >= 0."""
         q = Fraction(q)
         if q < 0:
-            raise DomainError(f"cannot take a real square root of {q}")
+            raise DomainError(f"cannot take a real square root of {short_str(q)}")
         return cls(1 if q else 0, q)
 
     @classmethod
@@ -239,7 +241,7 @@ class Surd:
 def squarefree_decomposition(n: int) -> tuple[int, int]:
     """Write n >= 1 as s*s*r with r squarefree; returns (s, r)."""
     if n < 1:
-        raise DomainError(f"expected a positive integer, got {n}")
+        raise DomainError(f"expected a positive integer, got {short_str(n)}")
     s, r = 1, 1
     d = 2
     while d * d <= n:
@@ -425,7 +427,7 @@ class PhasedSurdSum(SparseSum):
     @staticmethod
     def _check_key(r: int) -> None:
         if not _is_squarefree(r):
-            raise DomainError(f"key {r} is not a squarefree positive integer")
+            raise DomainError(f"key {short_str(r)} is not a squarefree positive integer")
 
     def __mul__(self, other: Union[PhasedSurdSum, ScalarLike]) -> PhasedSurdSum:
         if not isinstance(other, PhasedSurdSum):
@@ -488,7 +490,7 @@ def _primes_up_to(n: int) -> list[int]:
 def factorial_factorized(n: int) -> FactorizedFactorial:
     """Prime factorization of n!; exponent of p is sum_k floor(n / p**k)."""
     if n < 0:
-        raise DomainError(f"factorial of a negative integer: {n}")
+        raise DomainError(f"factorial of a negative integer: {short_str(n)}")
     pairs = []
     for p in _primes_up_to(n):
         e, q = 0, n

@@ -40,6 +40,8 @@ from .numerics import (
     Surd,
     check_momenta,
     projection_range,
+    short_repr,
+    short_str,
     squarefree_decomposition,
 )
 
@@ -60,7 +62,8 @@ def check_compatibility(js: Sequence[HalfInt], j: HalfInt) -> bool:
     """Truth of (-1)^(2(sum js - j)) = 1 for an admissible total j."""
     lo, hi = jmin(js), jmax(js)
     if not (lo.twice <= j.twice <= hi.twice) or (j.twice - lo.twice) % 2:
-        raise DomainError(f"total {j} is not admissible for {[str(x) for x in js]}")
+        shown = short_str([short_str(x) for x in js])
+        raise DomainError(f"total {short_str(j)} is not admissible for {shown}")
     exponent = sum(x.twice for x in js) - j.twice
     return exponent % 2 == 0
 
@@ -189,9 +192,9 @@ Interpretation = Literal["paper-literal", "same-state"]
 
 def _check_second_symmetry(chain: CouplingChain, interpretation: Interpretation) -> None:
     if interpretation not in ("paper-literal", "same-state"):
-        raise DomainError(f"unknown interpretation {interpretation!r}")
+        raise DomainError(f"unknown interpretation {short_repr(interpretation)}")
     if not chain.total_j.is_half_odd:
-        raise DomainError(f"total momentum {chain.total_j} is not half-odd")
+        raise DomainError(f"total momentum {short_str(chain.total_j)} is not half-odd")
 
 
 def _second_symmetry(ket: dict, partner: dict, ttotal: int, tpartner: int) -> PhasedSurdSum:

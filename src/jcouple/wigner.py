@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair, twice_text
+from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, short_str
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,6 @@ class CgArgs:
 def _ladder(ta: int, tb: int) -> range:
     """The one coupling ladder: twice |a-b|, |a-b|+1, ..., a+b, for momenta twice ta and tb."""
     return range(abs(ta - tb), ta + tb + 1, 2)
-
-
-def allowed_j(j1: HalfInt, j2: HalfInt) -> list[HalfInt]:
-    """The total momenta |j1-j2|, |j1-j2|+1, ..., j1+j2."""
-    check_momenta((j1, j2))
-    return [HalfInt(t) for t in _ladder(j1.twice, j2.twice)]
 
 
 def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> bool:
@@ -111,9 +105,9 @@ def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> 
     check_momentum_pair(j1, m1, "(j1, m1)")
     check_momentum_pair(j2, m2, "(j2, m2)")
     total = Fraction(0)
-    for j in allowed_j(j1, j2):
-        for tm in range(-j.twice, j.twice + 1, 2):
-            total += abs(_cg_signed_square(j1.twice, m1.twice, j2.twice, m2.twice, j.twice, tm))
+    for tj in _ladder(j1.twice, j2.twice):
+        for tm in range(-tj, tj + 1, 2):
+            total += abs(_cg_signed_square(j1.twice, m1.twice, j2.twice, m2.twice, tj, tm))
     return total
 
 
@@ -159,10 +153,11 @@ class RSymbol:
             raise DomainError("R-symbol needs a 3x3 matrix")
         entries = [x for row in self.rows for x in row]
         if any(not isinstance(x, int) or x < 0 for x in entries):
-            raise DomainError(f"R-symbol entries must be nonnegative integers: {self.rows}")
+            shown = short_str(self.rows)
+            raise DomainError(f"R-symbol entries must be nonnegative integers: {shown}")
         sums = [sum(r) for r in self.rows] + [sum(col) for col in zip(*self.rows)]
         if len(set(sums)) != 1:
-            raise DomainError(f"row/column sums differ: {sums}")
+            raise DomainError(f"row/column sums differ: {short_str(sums)}")
 
     @property
     def magic_sum(self) -> int:
@@ -179,19 +174,17 @@ def regge_symbol(
     tjs, tms = (a.twice, b.twice, c.twice), (alpha.twice, beta.twice, gamma.twice)
     if sum(tms):
         raise DomainError("projections must sum to zero")
-    rows = []
-    for row in (
-        tuple(sum(tjs) - 2 * tj for tj in tjs),
-        tuple(tj + tm for tj, tm in zip(tjs, tms)),
-        tuple(tj - tm for tj, tm in zip(tjs, tms)),
-    ):
-        for t in row:
-            if t % 2 or t < 0:
-                raise DomainError(
-                    f"entry {twice_text(t)} is not a nonnegative integer; triangle rule violated"
-                )
-        rows.append(tuple(t // 2 for t in row))
-    return RSymbol(tuple(rows))
+    # on the ladder, every entry of the first row is a nonnegative integer
+    if c.twice not in _ladder(a.twice, b.twice):
+        raise DomainError(
+            f"{short_str(c)} not an allowed coupling of {short_str(a)} and {short_str(b)}"
+        )
+    rows = (
+        tuple((sum(tjs) - 2 * tj) // 2 for tj in tjs),
+        tuple((tj + tm) // 2 for tj, tm in zip(tjs, tms)),
+        tuple((tj - tm) // 2 for tj, tm in zip(tjs, tms)),
+    )
+    return RSymbol(rows)
 
 
 @dataclass(frozen=True)
@@ -237,18 +230,19 @@ def regge_orbit_audit(
 
     The multiplier of each transformed 3j relative to the base is computed by
     exact evaluation on both sides; nothing is assumed about which symmetry
-    rule is correct.  Each transform permutes the base's one square as plain
-    integers and is evaluated on the twice-arguments read off its columns.
+    rule is correct.  Each transform permutes, as plain integers, the one
+    square regge_symbol checked; the first, the identity, gives the base.
     """
-    base = three_j(a, alpha, b, beta, c, gamma)
-    if base.is_zero:
-        raise DomainError("orbit audit needs a nonzero base 3j value")
-    entries = []
     square = regge_symbol(a, alpha, b, beta, c, gamma).rows
+    entries = []
     for name, claimed, (tj1, tm1, tj2, tm2, tj3, tm3) in _orbit_arguments(square):
         value = _cg_signed_square(tj1, tm1, tj2, tm2, tj3, -tm3)
         sign, radicand = _three_j_from_cg(1 if value > 0 else -1, abs(value), tj1, tj2, tj3, tm3)
-        if radicand != base.radicand:
+        if not entries:  # _ORBIT's first element, the identity: the base
+            if not radicand:
+                raise DomainError("orbit audit needs a nonzero base 3j value")
+            base = Surd(sign, radicand)
+        elif radicand != base.radicand:
             changed = Surd.from_signed_square(sign * radicand)
             raise DomainError(f"transform {name} changed the magnitude: {changed} vs {base}")
         entries.append(ReggeAuditEntry(name, claimed, sign * base.sign))

@@ -46,7 +46,7 @@ from jcouple.timerev import (
     kramers_overlap,
     t_squared_sign,
 )
-from jcouple.wigner import CgArgs, allowed_j, cg, cg_normalization_sum, regge_orbit_audit, three_j
+from jcouple.wigner import CgArgs, _ladder, cg, cg_normalization_sum, regge_orbit_audit, three_j
 
 from oracles import brute_force_totals, oracle_cg_table
 
@@ -100,7 +100,7 @@ def test_criterion_01_cg_matches_oracle():
         for tj1, tj2 in itertools.product(range(4), repeat=2):
             table = oracle_cg_table(tj1, tj2)
             j1, j2 = HalfInt(tj1), HalfInt(tj2)
-            for j in allowed_j(j1, j2):
+            for j in map(HalfInt, _ladder(tj1, tj2)):
                 for m in projection_range(j):
                     for m1 in projection_range(j1):
                         tm2 = m.twice - m1.twice
@@ -122,7 +122,7 @@ def _generalized_norms(js):
             jp, mp = HalfInt(tjp), HalfInt(tmp)
             for mk in projection_range(jk):
                 tm_new = tmp + mk.twice
-                for jn in allowed_j(jp, jk):
+                for jn in map(HalfInt, _ladder(tjp, jk.twice)):
                     if abs(tm_new) > jn.twice:
                         continue
                     square = cg(CgArgs(jp, mp, jk, mk, jn, HalfInt(tm_new))).radicand

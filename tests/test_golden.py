@@ -383,6 +383,47 @@ GOLDEN_ERRORS = [
         ("cg", "--j1", "-1", "--m1", "0", "--j2", "0", "--m2", "0", "--j", "1", "--m", "0"),
         "error: momentum must be nonnegative, got -1\n",
     ),
+    # regge-audit checks its arguments once, by the square's own names, before the zero base
+    (
+        None,
+        (
+            "regge-audit", "--a", "1", "--alpha", "2", "--b", "1", "--beta", "0",
+            "--c", "1", "--gamma", "0",
+        ),
+        "error: (a, alpha): |m|=2 exceeds j=1\n",
+    ),
+    (
+        None,
+        (
+            "regge-audit", "--a", "1/2", "--alpha", "1/2", "--b", "1", "--beta", "0",
+            "--c", "1", "--gamma", "-1/2",
+        ),
+        "error: (c, gamma): m=-1/2 not reachable from -j=-1 in unit steps\n",
+    ),
+    (
+        None,
+        (
+            "regge-audit", "--a", "1", "--alpha", "1", "--b", "1", "--beta", "0",
+            "--c", "1", "--gamma", "0",
+        ),
+        "error: projections must sum to zero\n",
+    ),
+    (
+        None,
+        (
+            "regge-audit", "--a", "1", "--alpha", "0", "--b", "1", "--beta", "0",
+            "--c", "3", "--gamma", "0",
+        ),
+        "error: 3 not an allowed coupling of 1 and 1\n",
+    ),
+    (
+        None,
+        (
+            "regge-audit", "--a", "1", "--alpha", "0", "--b", "1", "--beta", "0",
+            "--c", "1", "--gamma", "0",
+        ),
+        "error: orbit audit needs a nonzero base 3j value\n",
+    ),
 ]
 
 

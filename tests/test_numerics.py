@@ -28,14 +28,21 @@ from jcouple.numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
+    check_momenta,
+    check_momentum_pair,
     factorial_factorized,
     halfint_range,
     parse_halfint,
     projection_range,
     squarefree_decomposition,
 )
-from jcouple.timerev import coupled_univalence, t_squared_sign
-from jcouple.wigner import CgArgs, allowed_j, cg, cg_normalization_sum, regge_symbol, three_j
+from jcouple.timerev import (
+    audit_second_symmetry,
+    check_compatibility,
+    coupled_univalence,
+    t_squared_sign,
+)
+from jcouple.wigner import CgArgs, RSymbol, cg, cg_normalization_sum, regge_symbol, three_j
 
 
 NEGATIVE = parse_halfint("-1/2")
@@ -66,7 +73,6 @@ class TestOneNonnegativityRule:
             lambda: jmin(MOMENTA),
             lambda: CouplingChain(MOMENTA, (parse_halfint("1"),), parse_halfint("0")),
             lambda: enumerate_chains(MOMENTA),
-            lambda: allowed_j(parse_halfint("1"), NEGATIVE),
             lambda: coupled_univalence(MOMENTA),
             lambda: t_squared_sign(NEGATIVE),
             lambda: list(projection_range(NEGATIVE)),
@@ -84,9 +90,9 @@ class TestOneNonnegativityRule:
             ),
         ],
         ids=[
-            "jmax", "jmin", "CouplingChain", "enumerate_chains", "allowed_j",
-            "coupled_univalence", "t_squared_sign", "projection_range", "energy_level",
-            "degeneracy_paper", "degeneracy_enumerated", "cg", "three_j", "regge_symbol",
+            "jmax", "jmin", "CouplingChain", "enumerate_chains", "coupled_univalence",
+            "t_squared_sign", "projection_range", "energy_level", "degeneracy_paper",
+            "degeneracy_enumerated", "cg", "three_j", "regge_symbol",
             "cg_normalization_sum", "expand_coupled_state", "generalized_coupling_coefficient",
         ],
     )
@@ -101,6 +107,56 @@ class TestOneNonnegativityRule:
         assert str(info.value) == (
             f"momentum must be nonnegative, got -{'9' * 59}... (4001 characters)"
         )
+
+
+# twice a momentum of 4,401 digits: past the interpreter's int-to-str digit limit
+BIG = 2 * 10**4400
+ZERO = parse_halfint("0")
+
+
+class TestBoundedEcho:
+    """An error that echoes a value is a short DomainError, whatever the value."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_momenta([HalfInt(-BIG - 1)]),
+            lambda: check_momentum_pair(ONE, HalfInt(BIG), "(j, m)"),
+            lambda: CouplingChain((ONE, ONE), (), HalfInt(BIG)),
+            lambda: regge_symbol(ONE, ZERO, ONE, ZERO, HalfInt(BIG), ZERO),
+            lambda: HalfInt("x" * 10**5),
+            lambda: HalfInt(Fraction(BIG, 3)),
+            lambda: Surd(BIG, Fraction(1)),
+            lambda: Surd(1, Fraction(-BIG)),
+            lambda: Surd.sqrt(-BIG),
+            lambda: squarefree_decomposition(-BIG),
+            lambda: list(halfint_range(ZERO, HalfInt(BIG + 1))),
+            lambda: PhasedSurdSum({-BIG: 1}),
+            lambda: factorial_factorized(-BIG),
+            lambda: RSymbol(((-BIG, 0, 0), (0, 0, 0), (0, 0, 0))),
+            lambda: RSymbol(((BIG, 0, 0), (0, 0, 0), (0, 0, 0))),
+            lambda: check_compatibility((ONE, ONE), HalfInt(BIG)),
+            lambda: check_compatibility((ONE, HalfInt(BIG)), ZERO),
+            lambda: audit_second_symmetry(CouplingChain((HALF,), (), HALF), HALF, "x" * 10**5),
+            lambda: audit_second_symmetry(
+                CouplingChain((HalfInt(BIG),), (), HalfInt(BIG)), ZERO, "same-state"
+            ),
+            lambda: LieBasisElement("x" * 10**5, 1, 1),
+            lambda: LieBasisElement(BIG, 1, 1),
+        ],
+        ids=[
+            "check_momenta", "check_momentum_pair", "CouplingChain", "regge_symbol",
+            "HalfInt-long", "HalfInt-digits", "Surd-sign", "Surd-radicand", "Surd.sqrt",
+            "squarefree_decomposition", "halfint_range", "PhasedSurdSum", "factorial_factorized",
+            "RSymbol-entries", "RSymbol-sums", "check_compatibility-total",
+            "check_compatibility-js", "second-sym-interpretation", "second-sym-total",
+            "LieBasisElement-long", "LieBasisElement-digits",
+        ],
+    )
+    def test_short_domain_error(self, call):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert len(str(info.value)) <= 200
 
 
 class TestParseHalfInt:

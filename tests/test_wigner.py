@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jcouple.coupling import enumerate_chains
 from jcouple.numerics import (
     DomainError,
     HalfInt,
@@ -19,10 +20,10 @@ from jcouple.wigner import (
     CgArgs,
     ReggeAuditEntry,
     RSymbol,
+    _ladder,
     _orbit_arguments,
     _radical_prefactor,
     _selection_ok,
-    allowed_j,
     cg,
     cg_normalization_sum,
     regge_orbit_audit,
@@ -65,7 +66,8 @@ class TestSelection:
 
     def test_triangle_violation(self):
         # (1/2 x 1) only reaches totals 1/2 and 3/2, so j = 0 has no channel
-        assert H("0") not in allowed_j(H("1/2"), H("1"))
+        assert 0 not in _ladder(1, 2)
+        assert H("0") not in [chain.total_j for chain in enumerate_chains([H("1/2"), H("1")])]
         assert not _selection_ok(*_args("1/2", "1/2", "1", "0", "0", "0").twices())
         # projection sum fine, triangle violated
         assert not _selection_ok(*_args("1", "1", "1", "1", "3", "2").twices())
@@ -83,18 +85,26 @@ class TestSelection:
 
 
 class TestAllowedJ:
+    """The allowed totals of two momenta: the kernel's twice ladder, and enumerate_chains's list."""
+
+    @staticmethod
+    def _totals(j1, j2):
+        ladder = [HalfInt(t) for t in _ladder(j1.twice, j2.twice)]
+        assert [chain.total_j for chain in enumerate_chains([j1, j2])] == ladder
+        return ladder
+
     def test_two_halves(self):
-        assert allowed_j(H("1/2"), H("1/2")) == [H("0"), H("1")]
+        assert self._totals(H("1/2"), H("1/2")) == [H("0"), H("1")]
 
     def test_mixed(self):
-        assert allowed_j(H("1"), H("3/2")) == [H("1/2"), H("3/2"), H("5/2")]
+        assert self._totals(H("1"), H("3/2")) == [H("1/2"), H("3/2"), H("5/2")]
 
     def test_coupling_with_zero(self):
-        assert allowed_j(H("7/2"), H("0")) == [H("7/2")]
+        assert self._totals(H("7/2"), H("0")) == [H("7/2")]
 
     def test_length(self):
         for tj1, tj2 in itertools.product(range(6), repeat=2):
-            assert len(allowed_j(HalfInt(tj1), HalfInt(tj2))) == min(tj1, tj2) + 1
+            assert len(self._totals(HalfInt(tj1), HalfInt(tj2))) == min(tj1, tj2) + 1
 
 
 class TestCg:
@@ -228,7 +238,7 @@ class TestOrthogonality:
             j1, j2 = HalfInt(tj1), HalfInt(tj2)
             states = [
                 (j, HalfInt(tm))
-                for j in allowed_j(j1, j2)
+                for j in map(HalfInt, _ladder(tj1, tj2))
                 for tm in range(-j.twice, j.twice + 1, 2)
             ]
             for (ja, ma), (jb, mb) in itertools.combinations_with_replacement(states, 2):
@@ -387,9 +397,7 @@ class TestReggeReference:
         ):
             for entry in row:
                 if entry.twice % 2 or entry.twice < 0:
-                    raise DomainError(
-                        f"entry {entry} is not a nonnegative integer; triangle rule violated"
-                    )
+                    raise DomainError(f"{c} not an allowed coupling of {a} and {b}")
             rows.append(tuple(entry.twice // 2 for entry in row))
         return RSymbol(tuple(rows))
 
@@ -420,12 +428,16 @@ class TestReggeReference:
 
     @classmethod
     def _audit(cls, *args):
-        """The audit's entries, each with the arguments its transform was evaluated on."""
+        """The audit's entries, each with the arguments its transform was evaluated on.
+
+        The square's refusal comes first, then the zero base's.
+        """
+        symbol = cls._regge_symbol(*args)
         base = cls._three_j(*args)
         if base.is_zero:
             raise DomainError("orbit audit needs a nonzero base 3j value")
         entries = []
-        for name, claimed, square in cls._squares(cls._regge_symbol(*args)):
+        for name, claimed, square in cls._squares(symbol):
             arguments = cls._arguments(square)
             value = cls._three_j(*map(HalfInt, arguments))
             if value.radicand != base.radicand:
