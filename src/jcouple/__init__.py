@@ -35,20 +35,13 @@ _EXPORTS = {
             (
                 "KeplerLevel",
                 "KramersVerdict",
-                "LieBasisElement",
-                "LieExpression",
                 "MergedKeplerLevel",
-                "SplitCheckReport",
                 "Statistics",
-                "basis_commutator",
-                "commutator",
                 "degeneracy_enumerated",
                 "degeneracy_paper",
                 "energy_level",
-                "j_operator",
                 "kramers_applicability",
                 "merge_spectrum",
-                "so4_split_check",
                 "spectrum",
             ),
         ),

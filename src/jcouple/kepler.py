@@ -1,11 +1,14 @@
-"""The Kepler worked example: SO(4) split, exact spectra, degeneracy audits.
+"""The Kepler worked example: exact spectra, degeneracy audits, Kramers verdicts.
 
-The hidden-symmetry algebra is treated structurally: commutators are expanded
-by bilinearity over the stated angular-momentum/Runge-Lenz tables, with no
-operator construction behind them.  Degeneracies come in two flavors that are
-both first-class: the closed-form counts as printed, and a direct enumeration
-of basis kets; they disagree away from j=1/2 at Z=1 and the divergence is
-reported, not reconciled.
+One particle's bound level at momentum j carries the hidden SO(4) =
+SU(2) x SU(2) symmetry: its kets are |j m1>|j m2>, one projection for each
+factor J_(1,2) = (L +- M')/2, so the level holds (2j+1)^2 of them.  This
+module counts those kets and builds no operator; the su(2)+su(2)
+commutation relations are checked on exact J_(1), J_(2) matrices by the
+operator oracle in tests/oracles.py.  Degeneracies come in two flavors that
+are both first-class: the closed-form counts as printed, and a direct
+enumeration of basis kets; they disagree away from j=1/2 at Z=1 and the
+divergence is reported, not reconciled.
 """
 
 from __future__ import annotations
@@ -20,144 +23,13 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .numerics import (
     DomainError,
-    GaussianRational,
     HalfInt,
-    SparseSum,
     check_momenta,
     check_table_size,
-    short_repr,
     short_str,
 )
 
 T = TypeVar("T")
-
-_EPSILON = {
-    (1, 2, 3): 1,
-    (2, 3, 1): 1,
-    (3, 1, 2): 1,
-    (1, 3, 2): -1,
-    (3, 2, 1): -1,
-    (2, 1, 3): -1,
-}
-
-
-def epsilon(i: int, j: int, k: int) -> int:
-    return _EPSILON.get((i, j, k), 0)
-
-
-@dataclass(frozen=True, order=True)
-class LieBasisElement:
-    """L or rescaled Runge-Lenz component: family, particle index, spatial axis."""
-
-    family: str
-    particle: int
-    axis: int
-
-    def __post_init__(self) -> None:
-        if self.family not in ("L", "M"):
-            raise DomainError(f"family must be 'L' or 'M', got {short_repr(self.family)}")
-        if self.particle < 1:
-            raise DomainError("particle index starts at 1")
-        if self.axis not in (1, 2, 3):
-            raise DomainError("spatial axis must be 1, 2 or 3")
-
-    def __str__(self) -> str:
-        return f"{self.family}[{self.particle},{self.axis}]"
-
-
-class LieExpression(SparseSum):
-    """Finite Gaussian-rational combination of basis elements."""
-
-    __slots__ = ()
-
-
-def basis_commutator(x: LieBasisElement, y: LieBasisElement) -> LieExpression:
-    """[x, y] from the defining tables: LL -> iεL, MM -> iεL, ML and LM -> iεM."""
-    if x.particle != y.particle:
-        return LieExpression.zero()
-    result_family = "L" if x.family == y.family else "M"
-    terms: dict[LieBasisElement, GaussianRational] = {}
-    for k in (1, 2, 3):
-        eps = epsilon(x.axis, y.axis, k)
-        if eps:
-            element = LieBasisElement(result_family, x.particle, k)
-            terms[element] = GaussianRational(Fraction(0), Fraction(eps))
-    return LieExpression(terms)
-
-
-def commutator(a: LieExpression, b: LieExpression) -> LieExpression:
-    """Bilinear extension of the basis commutator."""
-    acc = LieExpression.zero()
-    for x, cx in a.items():
-        for y, cy in b.items():
-            acc = acc + basis_commutator(x, y).scaled(cx * cy)
-    return acc
-
-
-def j_operator(component: int, particle: int, axis: int) -> LieExpression:
-    """J_(1) = (L + M')/2 and J_(2) = (L - M')/2 for one particle and axis."""
-    if component not in (1, 2):
-        raise DomainError("component must be 1 or 2")
-    sign = 1 if component == 1 else -1
-    return LieExpression(
-        {
-            LieBasisElement("L", particle, axis): Fraction(1, 2),
-            LieBasisElement("M", particle, axis): Fraction(sign, 2),
-        }
-    )
-
-
-@dataclass(frozen=True)
-class CommutatorMismatch:
-    alpha: int
-    beta: int
-    particle_i: int
-    particle_j: int
-    axis_i: int
-    axis_j: int
-    computed: LieExpression
-    expected: LieExpression
-
-
-@dataclass(frozen=True)
-class SplitCheckReport:
-    z: int
-    checked: int
-    mismatches: tuple[CommutatorMismatch, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def so4_split_check(z: int) -> SplitCheckReport:
-    """Verify [J_(a)Ii, J_(b)Jj] = i d_ab d_IJ eps_ijk J_(a)Ik over all indices."""
-    if z < 1:
-        raise DomainError("need at least one particle")
-    mismatches = []
-    checked = 0
-    for alpha, beta in itertools.product((1, 2), repeat=2):
-        for pi, pj in itertools.product(range(1, z + 1), repeat=2):
-            for ai, aj in itertools.product((1, 2, 3), repeat=2):
-                lhs = commutator(j_operator(alpha, pi, ai), j_operator(beta, pj, aj))
-                rhs = LieExpression.zero()
-                if alpha == beta and pi == pj:
-                    for k in (1, 2, 3):
-                        eps = epsilon(ai, aj, k)
-                        if eps:
-                            rhs = rhs + j_operator(alpha, pi, k).scaled(
-                                GaussianRational(Fraction(0), Fraction(eps))
-                            )
-                checked += 1
-                if lhs != rhs:
-                    mismatches.append(
-                        CommutatorMismatch(alpha, beta, pi, pj, ai, aj, lhs, rhs)
-                    )
-    return SplitCheckReport(z, checked, tuple(mismatches))
-
-
-# ---------------------------------------------------------------------------
-# spectra and degeneracies
 
 
 class Statistics(Enum):

@@ -2,8 +2,8 @@
 
 Four value families live here: half-integers stored as twice their value,
 quadratic surds ``sign * sqrt(p/q)``, finite sums of surds with
-Gaussian-rational coefficients (a ``SparseSum``, the combination type that
-kepler's Lie expressions share), and prime-factorized factorials.  Everything
+Gaussian-rational coefficients (``PhasedSurdSum``, the one sparse
+combination type), and prime-factorized factorials.  Everything
 is immutable, exact, and safe to share across threads; floats appear only in
 the explicitly approximate conversions.
 """
@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class DomainError(ValueError):
@@ -313,121 +313,88 @@ class GaussianRational:
         return f"{self.re}{op}{abs(self.im)}*i"
 
 
-def _is_squarefree(n: int) -> bool:
-    return n >= 1 and squarefree_decomposition(n)[0] == 1
-
-
 ScalarLike = Union["GaussianRational", Fraction, int]
 
 _new = object.__new__
 
 
-class SparseSum:
-    """Finite sum of basis keys with nonzero Gaussian-rational coefficients.
+class PhasedSurdSum:
+    """Finite exact sum over squarefree r >= 1 of c_r * sqrt(r).
 
-    The additive arithmetic shared by surd sums and Lie expressions: the
-    empty sum is the canonical exact zero, and every result drops the keys
-    whose coefficients cancel.  Subclasses choose which keys are allowed
-    (``_check_key``) and how a key prints (``_key_format``).
+    Coefficients c_r are Gaussian rationals, so the ring is closed under
+    products, sums, and multiplication by integer powers of i.  The empty
+    sum is the canonical exact zero, and every result drops the roots whose
+    coefficients cancel.
     """
 
     __slots__ = ("_terms",)
 
-    _key_format = "{}"
-
-    def __init__(self, terms: Mapping[Hashable, ScalarLike] | None = None) -> None:
-        clean: dict[Hashable, GaussianRational] = {}
-        for key, c in (terms or {}).items():
-            self._check_key(key)
+    def __init__(self, terms: Mapping[int, ScalarLike] | None = None) -> None:
+        clean: dict[int, GaussianRational] = {}
+        for r, c in (terms or {}).items():
+            if type(r) is not int or r < 1 or squarefree_decomposition(r)[0] != 1:
+                raise DomainError(f"key {short_str(r)} is not a squarefree positive integer")
             c = GaussianRational.coerce(c)
             if not c.is_zero:
-                clean[key] = c
+                clean[r] = c
         self._terms = clean
 
-    @staticmethod
-    def _check_key(key: Hashable) -> None:
-        """Raise DomainError for a key outside the basis; any key is allowed here."""
-
     @classmethod
-    def _raw(cls, terms: dict) -> SparseSum:
-        # trusted constructor: keys valid, no zero coefficients
+    def _raw(cls, terms: dict) -> PhasedSurdSum:
+        # trusted constructor: keys squarefree, no zero coefficients
         out = _new(cls)
         out._terms = terms
         return out
 
     @classmethod
-    def zero(cls) -> SparseSum:
+    def zero(cls) -> PhasedSurdSum:
         return cls._raw({})
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self) -> tuple[tuple[Hashable, GaussianRational], ...]:
+    def items(self) -> tuple[tuple[int, GaussianRational], ...]:
         return tuple(sorted(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
+        if not isinstance(other, PhasedSurdSum):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(self.items())
 
-    def __add__(self, other: SparseSum) -> SparseSum:
+    def __add__(self, other: PhasedSurdSum) -> PhasedSurdSum:
         merged = dict(self._terms)
-        for key, c in other._terms.items():
-            s = merged.get(key)
+        for r, c in other._terms.items():
+            s = merged.get(r)
             total = c if s is None else s + c
             if total.is_zero:
-                merged.pop(key, None)
+                merged.pop(r, None)
             else:
-                merged[key] = total
+                merged[r] = total
         # _raw inlined: this sits on the audit hot path
-        out = _new(type(self))
+        out = _new(PhasedSurdSum)
         out._terms = merged
         return out
 
-    def __neg__(self) -> SparseSum:
-        return self._raw({key: -c for key, c in self._terms.items()})
+    def __neg__(self) -> PhasedSurdSum:
+        return self._raw({r: -c for r, c in self._terms.items()})
 
-    def scaled(self, factor: ScalarLike) -> SparseSum:
+    def scaled(self, factor: ScalarLike) -> PhasedSurdSum:
         factor = GaussianRational.coerce(factor)
         if factor.is_zero:
             return self.zero()
-        return self._raw({key: c * factor for key, c in self._terms.items()})
+        return self._raw({r: c * factor for r, c in self._terms.items()})
 
-    def times_i_pow(self, k: int) -> SparseSum:
+    def times_i_pow(self, k: int) -> PhasedSurdSum:
         if k % 4 == 0:
             return self
-        return self._raw({key: c.times_i_pow(k) for key, c in self._terms.items()})
-
-    def __repr__(self) -> str:
-        name = type(self).__name__
-        if not self._terms:
-            return f"{name}(0)"
-        parts = [f"({c})*" + self._key_format.format(key) for key, c in self.items()]
-        return f"{name}(" + " + ".join(parts) + ")"
-
-
-class PhasedSurdSum(SparseSum):
-    """Finite exact sum over squarefree r >= 1 of c_r * sqrt(r).
-
-    Coefficients c_r are Gaussian rationals, so the ring is closed under
-    products, sums, and multiplication by integer powers of i.
-    """
-
-    __slots__ = ()
-
-    _key_format = "sqrt({})"
-
-    @staticmethod
-    def _check_key(r: int) -> None:
-        if not _is_squarefree(r):
-            raise DomainError(f"key {short_str(r)} is not a squarefree positive integer")
+        return self._raw({r: c.times_i_pow(k) for r, c in self._terms.items()})
 
     def __mul__(self, other: Union[PhasedSurdSum, ScalarLike]) -> PhasedSurdSum:
         if not isinstance(other, PhasedSurdSum):
@@ -447,6 +414,12 @@ class PhasedSurdSum(SparseSum):
         return PhasedSurdSum._raw(out)
 
     __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "PhasedSurdSum(0)"
+        parts = [f"({c})*sqrt({r})" for r, c in self.items()]
+        return "PhasedSurdSum(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,9 @@ def coupled_univalence(js: Sequence[HalfInt]) -> int:
 
 
 def check_compatibility(js: Sequence[HalfInt], j: HalfInt) -> bool:
-    """Truth of (-1)^(2(sum js - j)) = 1 for an admissible total j."""
+    """Truth of (-1)^(2(sum js - j)) = 1 for an admissible total j of two or more momenta."""
+    if len(js) < 2:
+        raise DomainError("compatibility needs at least two momenta")
     lo, hi = jmin(js), jmax(js)
     if not (lo.twice <= j.twice <= hi.twice) or (j.twice - lo.twice) % 2:
         shown = short_str([short_str(x) for x in js])

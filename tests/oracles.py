@@ -5,10 +5,22 @@ path: it builds the total-J-squared matrix over a rationally-scaled product
 basis (where every entry is an exact Fraction), reads each top state off the
 one-dimensional kernel, fixes its sign by making the largest-m1 component
 positive, and walks down in m with the exact lowering action.
+
+The operator oracle works in the same scaled basis, |m>' = J-**(j-m) |j,j>
+per momentum, on which J- lowers with coefficient 1, J+ raises with
+``_raise`` and Jz is diagonal.  It builds the Cartesian J_x, J_y, J_z of
+each factor of a product of momenta as sparse matrices of exact Gaussian
+rationals.  A Kepler level at momentum j is the product of the two spin-j
+factors of the hidden SO(4) = SU(2) x SU(2), J_(1) and J_(2), with L =
+J_(1) + J_(2) and the scaled Runge-Lenz vector A' = J_(1) - J_(2).  The
+scale is real and positive, so complex conjugation in this basis is
+conjugation in the standard one, and an antiunitary T = U K is the matrix
+U of its unitary part together with entrywise conjugation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +33,11 @@ def _norm_square(tj: int, tm: int) -> Fraction:
     return Fraction(math.factorial(tj), math.factorial((tj + tm) // 2)) * math.factorial(
         (tj - tm) // 2
     )
+
+
+def _raise(tj: int, tm: int) -> Fraction:
+    # J+ |m>' = (j - m)(j + m + 1) |m+1>' in the scaled basis, as J- |m+1>' = |m>'
+    return Fraction((tj - tm) * (tj + tm + 2), 4)
 
 
 def _block(tj1: int, tj2: int, tm: int) -> list[tuple[int, int]]:
@@ -39,17 +56,17 @@ def _j_squared_block(tj1: int, tj2: int, tm: int) -> list[list[Fraction]]:
     for col, (tm1, tm2) in enumerate(basis):
         diag = Fraction(tj1 * (tj1 + 2) + tj2 * (tj2 + 2) + 2 * tm1 * tm2, 4)
         rows[col][col] += diag
-        raise_1 = Fraction((tj1 - tm1) * (tj1 + tm1 + 2), 4)
+        raise_1 = _raise(tj1, tm1)
         if raise_1 and (tm1 + 2, tm2 - 2) in index:
             rows[index[(tm1 + 2, tm2 - 2)]][col] += raise_1
-        raise_2 = Fraction((tj2 - tm2) * (tj2 + tm2 + 2), 4)
+        raise_2 = _raise(tj2, tm2)
         if raise_2 and (tm1 - 2, tm2 + 2) in index:
             rows[index[(tm1 - 2, tm2 + 2)]][col] += raise_2
     return rows
 
 
-def fraction_kernel(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Basis vector of a one-dimensional kernel, by exact Gauss-Jordan."""
+def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form of a square matrix and its pivot columns, by exact Gauss-Jordan."""
     n = len(rows)
     a = [row[:] for row in rows]
     pivots: list[int] = []
@@ -67,6 +84,13 @@ def fraction_kernel(rows: list[list[Fraction]]) -> list[Fraction]:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
+    return a, pivots
+
+
+def fraction_kernel(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Basis vector of a one-dimensional kernel, by exact Gauss-Jordan."""
+    n = len(rows)
+    a, pivots = _row_reduce(rows)
     free = [c for c in range(n) if c not in pivots]
     assert len(free) == 1, f"kernel dimension {len(free)}, expected 1"
     v = [Fraction(0)] * n
@@ -135,3 +159,129 @@ def brute_force_totals(js) -> set[int]:
             for t in range(abs(partial - j.twice), partial + j.twice + 1, 2)
         }
     return totals
+
+
+# ---------------------------------------------------------------------------
+# exact operators on products of momenta
+
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i**k as (re, im)
+
+
+class Operator:
+    """A sparse matrix {(row ket, column ket): (re, im)} of exact Gaussian rationals, no zero entry."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict) -> None:
+        self.entries = {key: v for key, v in entries.items() if v != (0, 0)}
+
+    def __add__(self, other: Operator) -> Operator:
+        out = dict(self.entries)
+        for key, (re, im) in other.entries.items():
+            a, b = out.get(key, (0, 0))
+            out[key] = (a + re, b + im)
+        return Operator(out)
+
+    def __sub__(self, other: Operator) -> Operator:
+        return self + other.scaled(-1)
+
+    def scaled(self, re, im=0) -> Operator:
+        """(re + i im) times this operator."""
+        return Operator(
+            {key: (a * re - b * im, a * im + b * re) for key, (a, b) in self.entries.items()}
+        )
+
+    def __matmul__(self, other: Operator) -> Operator:
+        by_row: dict = {}
+        for (mid, col), v in other.entries.items():
+            by_row.setdefault(mid, []).append((col, v))
+        out: dict = {}
+        for (row, mid), (a, b) in self.entries.items():
+            for col, (c, d) in by_row.get(mid, ()):
+                re, im = out.get((row, col), (0, 0))
+                out[(row, col)] = (re + a * c - b * d, im + a * d + b * c)
+        return Operator(out)
+
+    def conjugate(self) -> Operator:
+        """The entrywise complex conjugate, K A K for the conjugation K of this basis."""
+        return Operator({key: (a, -b) for key, (a, b) in self.entries.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Operator) and self.entries == other.entries
+
+
+def commutator(a: Operator, b: Operator) -> Operator:
+    return a @ b - b @ a
+
+
+def product_kets(tjs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The scaled product basis of momenta with twice values tjs, as tuples of twice m."""
+    return list(itertools.product(*(range(-t, t + 1, 2) for t in tjs)))
+
+
+def identity(kets: list[tuple[int, ...]]) -> Operator:
+    return Operator({(ket, ket): (1, 0) for ket in kets})
+
+
+def factor_operators(tjs: tuple[int, ...], f: int) -> tuple[Operator, Operator, Operator]:
+    """(J_x, J_y, J_z) of factor f of the product of momenta tjs, on the scaled basis.
+
+    J_x = (J+ + J-)/2 and J_y = (J+ - J-)/(2i), from the same ladder as the
+    J-squared oracle; every entry is a Fraction or i times one.
+    """
+    tj = tjs[f]
+    up, down, z = {}, {}, {}
+    for ket in product_kets(tjs):
+        tm = ket[f]
+        z[(ket, ket)] = (Fraction(tm, 2), 0)
+        if tm < tj:
+            up[(ket[:f] + (tm + 2,) + ket[f + 1 :], ket)] = (_raise(tj, tm), 0)
+        if tm > -tj:
+            down[(ket[:f] + (tm - 2,) + ket[f + 1 :], ket)] = (Fraction(1), 0)
+    ladder_up, ladder_down = Operator(up), Operator(down)
+    return (
+        (ladder_up + ladder_down).scaled(Fraction(1, 2)),
+        (ladder_up - ladder_down).scaled(0, Fraction(-1, 2)),
+        Operator(z),
+    )
+
+
+def level_operators(tj: int) -> tuple[tuple[Operator, ...], tuple[Operator, ...]]:
+    """(J_(1), J_(2)) on the Kepler level (j, j), each as (x, y, z) components."""
+    return factor_operators((tj, tj), 0), factor_operators((tj, tj), 1)
+
+
+def _flip_ratio(tj: int, tm: int) -> Fraction:
+    # N_m / N_-m for |m>' = N_m |m>, from _norm_square: (j - m)! / (j + m)!
+    return Fraction(math.factorial((tj - tm) // 2), math.factorial((tj + tm) // 2))
+
+
+def level_time_reversal(tj: int, swap: bool) -> Operator:
+    """U of an antiunitary T = U K on the level (j, j), on the scaled basis.
+
+    In the standard basis U|m1 m2> = i^(2(m1+m2)) |-m1, -m2>, T reversing
+    each factor within itself, or i^(2(m1+m2)) |-m2, -m1> with swap, T
+    exchanging the factors.
+    """
+    entries = {}
+    for tm1, tm2 in product_kets((tj, tj)):
+        scale = _flip_ratio(tj, tm1) * _flip_ratio(tj, tm2)
+        re, im = _I_POWERS[(tm1 + tm2) % 4]
+        target = (-tm2, -tm1) if swap else (-tm1, -tm2)
+        entries[(target, (tm1, tm2))] = (re * scale, im * scale)
+    return Operator(entries)
+
+
+def reversal_sends(u: Operator, a: Operator, image: Operator) -> bool:
+    """Whether T A T^-1 = image for T = U K, i.e. U conj(A) = image U."""
+    return u @ a.conjugate() == image @ u
+
+
+def nullity(a: Operator, kets: list[tuple[int, ...]]) -> int:
+    """Dimension of the kernel of a real operator on the given basis."""
+    index = {ket: i for i, ket in enumerate(kets)}
+    rows = [[Fraction(0)] * len(kets) for _ in kets]
+    for (row, col), (re, im) in a.entries.items():
+        assert im == 0, "not a real operator"
+        rows[index[row]][index[col]] = Fraction(re)
+    return len(kets) - len(_row_reduce(rows)[1])

@@ -25,7 +25,6 @@ from jcouple.kepler import (
     degeneracy_paper,
     energy_level,
     kramers_applicability,
-    so4_split_check,
     spectrum,
 )
 from jcouple.numerics import (
@@ -48,7 +47,17 @@ from jcouple.timerev import (
 )
 from jcouple.wigner import CgArgs, _ladder, cg, cg_normalization_sum, regge_orbit_audit, three_j
 
-from oracles import brute_force_totals, oracle_cg_table
+from oracles import (
+    Operator,
+    brute_force_totals,
+    commutator,
+    factor_operators,
+    identity,
+    level_operators,
+    nullity,
+    oracle_cg_table,
+    product_kets,
+)
 
 H = parse_halfint
 
@@ -188,6 +197,13 @@ def test_criterion_05_univalence_and_compatibility():
                 for j in halfint_range(jmin(js), jmax(js)):
                     assert univalence == t_squared_sign(j)
                     assert check_compatibility(js, j)
+        # six to eight momenta, at the totals their chains reach
+        for n in (6, 7, 8):
+            for js in _js_tuples(n, 1):
+                univalence = coupled_univalence(js)
+                for j in {chain.total_j for chain in enumerate_chains(js)}:
+                    assert univalence == t_squared_sign(j)
+                    assert check_compatibility(js, j)
 
 
 def test_criterion_06_kramers_orthogonality():
@@ -258,12 +274,40 @@ def test_criterion_09_regge_audit():
         assert flagged
 
 
+def _su2_sum_checks(factors):
+    """Assert [F_f i, F_g k] = i delta_fg eps_ikl F_f l over all factors and axes; the count."""
+    checked = 0
+    for (f, a), (g, b) in itertools.product(enumerate(factors), repeat=2):
+        for i, k in itertools.product(range(3), repeat=2):
+            expected = Operator({})
+            if f == g and i != k:
+                l = 3 - i - k
+                eps = 1 if (k - i) % 3 == 1 else -1  # (i, k, l) cyclic
+                expected = a[l].scaled(0, eps)
+            assert commutator(a[i], b[k]) == expected, (f, g, i, k)
+            checked += 1
+    return checked
+
+
 def test_criterion_10_so4_split():
-    with _Criterion(10, "SO(4) split closes onto the compact commutator form", budget=5.0):
-        for z in (1, 2, 3):
-            report = so4_split_check(z)
-            assert report.ok
-            assert report.checked == 36 * z * z
+    with _Criterion(10, "the level's J_(1), J_(2) are su(2)+su(2) operators", budget=5.0):
+        for tj in range(5):
+            kets = product_kets((tj, tj))
+            j1, j2 = level_operators(tj)
+            assert _su2_sum_checks([j1, j2]) == 36
+            # L^2 holds each l = 0..2j once, as 2l+1 states, and nothing else
+            ls = [x + y for x, y in zip(j1, j2)]
+            l_squared = ls[0] @ ls[0] + ls[1] @ ls[1] + ls[2] @ ls[2]
+            counts = [
+                nullity(l_squared - identity(kets).scaled(Fraction(tl * (tl + 2), 4)), kets)
+                for tl in range(0, 2 * tj + 1, 2)
+            ]
+            assert counts == list(range(1, 2 * tj + 2, 2))
+            assert sum(counts) == len(kets) == (tj + 1) ** 2
+        # two particles, J_(1) and J_(2) each: operators of different particles commute
+        for tj in (0, 1):
+            tjs = (tj,) * 4
+            assert _su2_sum_checks([factor_operators(tjs, f) for f in range(4)]) == 36 * 2 * 2
 
 
 def test_criterion_11_kepler_tables():

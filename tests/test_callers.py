@@ -35,7 +35,6 @@ ORACLES = {
     ("kepler", "energy_level"): "the walk's integer energy pair",
     ("kepler", "degeneracy_paper"): "the walk's closed-form count",
     ("kepler", "degeneracy_enumerated"): "the walk's enumerated count",
-    ("kepler", "so4_split_check"): "acceptance criterion 10, the SO(4) Lie algebra",
     ("wigner", "cg_normalization_sum"): "acceptance criterion 2, the CG normalization",
 }
 

@@ -14,74 +14,27 @@ from jcouple.cli import main
 from jcouple.kepler import (
     KeplerLevel,
     KramersVerdict,
-    LieBasisElement,
-    LieExpression,
     Statistics,
     _check_count_digits,
     _spectrum_walk,
-    basis_commutator,
-    commutator,
     degeneracy_enumerated,
     degeneracy_paper,
     energy_level,
-    j_operator,
     kramers_applicability,
     merge_spectrum,
-    so4_split_check,
     spectrum,
 )
-from jcouple.numerics import DomainError, GaussianRational, HalfInt, parse_halfint
+from jcouple.numerics import DomainError, HalfInt, parse_halfint
+
+from oracles import (
+    identity,
+    level_operators,
+    level_time_reversal,
+    product_kets,
+    reversal_sends,
+)
 
 H = parse_halfint
-
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
-
-
-def _all_basis(z):
-    return [
-        LieBasisElement(family, particle, axis)
-        for family in ("L", "M")
-        for particle in range(1, z + 1)
-        for axis in (1, 2, 3)
-    ]
-
-
-class TestLieAlgebra:
-    def test_cross_component_commutes(self):
-        assert commutator(j_operator(1, 1, 1), j_operator(2, 1, 2)).is_zero
-
-    def test_same_component_closes(self):
-        lhs = commutator(j_operator(1, 1, 1), j_operator(1, 1, 2))
-        assert lhs == j_operator(1, 1, 3).scaled(I_UNIT)
-
-    def test_distinct_particles_commute(self):
-        for ai, aj in itertools.product((1, 2, 3), repeat=2):
-            assert commutator(j_operator(1, 1, ai), j_operator(1, 2, aj)).is_zero
-
-    def test_table_antisymmetry(self):
-        for x in _all_basis(2):
-            for y in _all_basis(2):
-                assert basis_commutator(x, y) == -basis_commutator(y, x)
-
-    def test_jacobi_identity(self):
-        basis = _all_basis(1)
-        for x, y, z in itertools.product(basis, repeat=3):
-            total = (
-                commutator(LieExpression({x: 1}), basis_commutator(y, z))
-                + commutator(LieExpression({y: 1}), basis_commutator(z, x))
-                + commutator(LieExpression({z: 1}), basis_commutator(x, y))
-            )
-            assert total.is_zero, (x, y, z)
-
-    def test_split_check_small_z(self):
-        for z in (1, 2, 3):
-            report = so4_split_check(z)
-            assert report.ok
-            assert report.checked == 36 * z * z
-
-    def test_split_check_rejects_bad_z(self):
-        with pytest.raises(DomainError):
-            so4_split_check(0)
 
 
 class TestEnergy:
@@ -358,3 +311,25 @@ class TestKramers:
             )
             for level in spectrum(z, H("3/2"), Statistics.FERMION_HALF):
                 assert level.degeneracy_enumerated % 2 == 0
+
+
+class TestLevelTimeReversal:
+    """Antiunitaries T = U K on one level (j, j): L = J_(1) + J_(2), A' = J_(1) - J_(2)."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["per-factor", "swap"])
+    @pytest.mark.parametrize("tj", range(5))
+    def test_squares_to_one_and_reverses_l(self, tj, swap):
+        u = level_time_reversal(tj, swap)
+        assert u @ u.conjugate() == identity(product_kets((tj, tj)))
+        for a, b in zip(*level_operators(tj)):
+            assert reversal_sends(u, a + b, (a + b).scaled(-1))
+
+    @pytest.mark.parametrize("tj", range(1, 5))
+    def test_only_the_swap_keeps_a_prime_even(self, tj):
+        swap, per_factor = (level_time_reversal(tj, s) for s in (True, False))
+        for a, b in zip(*level_operators(tj)):
+            # the swap sends J_(1) to -J_(2), as the Runge-Lenz vector must stay even
+            assert reversal_sends(swap, a, b.scaled(-1))
+            assert reversal_sends(swap, a - b, a - b)
+            assert reversal_sends(per_factor, a - b, b - a)
+            assert not reversal_sends(per_factor, a - b, a - b)

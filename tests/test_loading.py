@@ -36,20 +36,13 @@ EXPORTS = {
     "kepler": [
         "KeplerLevel",
         "KramersVerdict",
-        "LieBasisElement",
-        "LieExpression",
         "MergedKeplerLevel",
-        "SplitCheckReport",
         "Statistics",
-        "basis_commutator",
-        "commutator",
         "degeneracy_enumerated",
         "degeneracy_paper",
         "energy_level",
-        "j_operator",
         "kramers_applicability",
         "merge_spectrum",
-        "so4_split_check",
         "spectrum",
     ],
     "numerics": [
@@ -152,7 +145,7 @@ def test_subcommand_loads_only_what_it_runs(argv, modules):
 
 
 def test_all_lists_the_exports():
-    assert len(NAMES) == 64
+    assert len(NAMES) == 57
     assert sorted(jcouple.__all__) == NAMES
 
 

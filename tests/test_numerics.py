@@ -15,8 +15,6 @@ from jcouple.coupling import (
     jmin,
 )
 from jcouple.kepler import (
-    LieBasisElement,
-    LieExpression,
     Statistics,
     degeneracy_enumerated,
     degeneracy_paper,
@@ -141,8 +139,6 @@ class TestBoundedEcho:
             lambda: audit_second_symmetry(
                 CouplingChain((HalfInt(BIG),), (), HalfInt(BIG)), ZERO, "same-state"
             ),
-            lambda: LieBasisElement("x" * 10**5, 1, 1),
-            lambda: LieBasisElement(BIG, 1, 1),
         ],
         ids=[
             "check_momenta", "check_momentum_pair", "CouplingChain", "regge_symbol",
@@ -150,7 +146,6 @@ class TestBoundedEcho:
             "squarefree_decomposition", "halfint_range", "PhasedSurdSum", "factorial_factorized",
             "RSymbol-entries", "RSymbol-sums", "check_compatibility-total",
             "check_compatibility-js", "second-sym-interpretation", "second-sym-total",
-            "LieBasisElement-long", "LieBasisElement-digits",
         ],
     )
     def test_short_domain_error(self, call):
@@ -308,40 +303,33 @@ def _gauss(re_n, re_d, im_n, im_d):
     return GaussianRational(Fraction(re_n, re_d), Fraction(im_n, im_d))
 
 
-def _sums_over(cls, keys):
-    return st.builds(
-        lambda pairs: cls({k: _gauss(a, b, c, d) for k, (a, b, c, d) in pairs.items()}),
-        st.dictionaries(
-            st.sampled_from(keys),
-            st.tuples(
-                st.integers(-6, 6),
-                st.integers(1, 5),
-                st.integers(-6, 6),
-                st.integers(1, 5),
-            ),
-            max_size=4,
+_sums = st.builds(
+    lambda pairs: PhasedSurdSum({r: _gauss(a, b, c, d) for r, (a, b, c, d) in pairs.items()}),
+    st.dictionaries(
+        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15]),
+        st.tuples(
+            st.integers(-6, 6),
+            st.integers(1, 5),
+            st.integers(-6, 6),
+            st.integers(1, 5),
         ),
-    )
-
-
-_sums = _sums_over(PhasedSurdSum, [1, 2, 3, 5, 6, 7, 10, 15])
-# the same additive laws over the other SparseSum, with Lie-algebra basis keys
-_lie_sums = _sums_over(
-    LieExpression, [LieBasisElement(f, p, a) for f in "LM" for p in (1, 2) for a in (1, 2, 3)]
+        max_size=4,
+    ),
 )
 
 
 class TestPhasedSurdSum:
     def test_squarefree_keys_enforced(self):
-        with pytest.raises(DomainError):
-            PhasedSurdSum({4: Fraction(1)})
+        # a float or bool key would pass the squarefree test and fail later, in a gcd
+        for key in (4, 0, 2.0, True, "x"):
+            with pytest.raises(DomainError):
+                PhasedSurdSum({key: Fraction(1)})
 
     def test_zero_is_empty(self):
         assert PhasedSurdSum({2: Fraction(0)}).is_zero
 
-    @given(st.sampled_from([_sums, _lie_sums]).flatmap(lambda s: st.tuples(s, s, s)))
-    def test_addition_associative(self, xyz):
-        x, y, z = xyz
+    @given(_sums, _sums, _sums)
+    def test_addition_associative(self, x, y, z):
         assert (x + y) + z == x + (y + z)
 
     @given(_sums, _sums, _sums)

@@ -110,6 +110,12 @@ class TestCompatibility:
         with pytest.raises(DomainError):
             check_compatibility([H("1/2"), H("1")], H("1"))
 
+    @pytest.mark.parametrize("js", [[], [H("1")]], ids=["none", "one"])
+    def test_fewer_than_two_momenta_refused_in_its_own_words(self, js):
+        with pytest.raises(DomainError) as info:
+            check_compatibility(js, H("1"))
+        assert str(info.value) == "compatibility needs at least two momenta"
+
     def test_holds_exhaustively(self):
         from jcouple.coupling import jmax, jmin
         from jcouple.numerics import halfint_range
