@@ -206,6 +206,19 @@ def _energy_fields(num: int, den: int) -> str:
     return f'"energy": {{"num": "{num}", "den": "{den}"}}, "approx": {num / den!r}'
 
 
+def _ascending(energies: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (num, den) pairs, den > 0, in ascending exact order of num / den.
+
+    The float num / den rounds monotonically, so it never orders two
+    energies against their exact order; only when two floats are equal is
+    a Fraction built per energy, to order the equal ones exactly.
+    """
+    approx = {e: e[0] / e[1] for e in energies}
+    if len(set(approx.values())) == len(approx):
+        return sorted(approx, key=approx.__getitem__)
+    return sorted(approx, key=lambda e: (approx[e], Fraction(*e)))
+
+
 def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -> Iterator[str]:
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
@@ -227,9 +240,7 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
         sep = ", "
     yield '], "merged": ['
     sep = ""
-    # num / den rounds monotonically, so it never orders two energies against
-    # their exact order; equal floats fall back to one Fraction per energy
-    for energy in sorted(groups, key=lambda e: (e[0] / e[1], Fraction(*e))):
+    for energy in _ascending(groups):
         energy_text, texts, paper, enum = groups[energy]
         yield (
             f'{sep}{{{energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, '
@@ -320,12 +331,14 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
 
     A record is {"input": {...}, "claimed": ..., "actual": ..., "verdict": ...}.
     Its text is spliced with f-strings: the momenta's text is rendered once
-    per js tuple, the chain's members once per chain, and projections come
-    from a table of twice-integer names.  Every value is a decimal string, a
-    small integer or null, so nothing needs escaping.  main writes each
-    record as soon as it is rendered, so a reader sees each line at once.
+    per js tuple, the chain's members once per chain, and every member and
+    projection comes from a table of twice-integer names.  The chain grids
+    walk each js tuple's chains as twice-integer partial totals, so no chain
+    object is built.  Every value is a decimal string, a small integer or
+    null, so nothing needs escaping.  main writes each record as soon as it
+    is rendered, so a reader sees each line at once.
     """
-    from .coupling import enumerate_chains, jmax, jmin
+    from .coupling import _chain_partials, jmax, jmin
     from .timerev import (
         check_compatibility,
         coupled_univalence,
@@ -334,22 +347,17 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
         t_squared_sign,
     )
 
-    def univalence_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
-        """(claimed, actual): the coupled univalence of js against (-1)^(2j)."""
-        return coupled_univalence(js), t_squared_sign(j)
-
-    def compat_claim(js: Sequence[HalfInt], j: HalfInt) -> tuple[int, int]:
-        """(claimed, actual): +1 against (-1)^(2(sum js - j))."""
-        return 1, 1 if check_compatibility(js, j) else -1
-
     n, top = _parse_grid(ns.grid)
     if ns.prop in ("univalence", "compat"):
-        claim = univalence_claim if ns.prop == "univalence" else compat_claim
         names = _names(top.twice)
         for js in _js_tuples(n, top):
             head = f'{{"input": {{"js": {_list_text([names[x.twice] for x in js])}, "j": "'
+            univalence = coupled_univalence(js) if ns.prop == "univalence" else None
             for j in halfint_range(jmin(js), jmax(js)):
-                claimed, actual = claim(js, j)
+                if univalence is None:
+                    claimed, actual = 1, 1 if check_compatibility(js, j) else -1
+                else:
+                    claimed, actual = univalence, t_squared_sign(j)
                 verdict = "agree" if claimed == actual else "diverge"
                 yield (
                     f'{head}{j}"}}, "claimed": {claimed}, "actual": {actual}, '
@@ -361,19 +369,21 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     else:
         kind, extra = "kramers", ""
     names = _names(n * top.twice)  # the largest |twice m| a first-sym record prints
-    for js in _js_tuples(n, top):
-        for chain in enumerate_chains(js):
-            head = '{"input": ' + json.dumps(chain.to_json_dict())[:-1]
+    for tjs in itertools.product(range(top.twice + 1), repeat=n):
+        js_head = f'{{"input": {{"js": {_list_text([names[t] for t in tjs])}, "intermediates": '
+        for partials in _chain_partials(tjs):
+            middle = _list_text([names[t] for t in partials[1:-1]]) if n > 2 else "[]"
+            head = f'{js_head}{middle}, "j": "{names[partials[-1]]}"'
             if ns.prop == "first-sym":
-                for tms, total, audit in first_symmetry_audits(chain):
+                for tms, total, audit in first_symmetry_audits(tjs, partials):
                     actual = "null" if audit.ratio is None else audit.ratio
                     yield (
                         f'{head}, "ms": {_list_text([names[t] for t in tms])}, '
                         f'"m": "{names[total]}"}}, "claimed": 1, "actual": {actual}, '
                         f'"verdict": "{audit.verdict}"}}\n'
                     )
-            elif chain.total_j.is_half_odd:  # second-sym, kramers
-                for m, value in overlap_audits(chain, kind):
+            elif partials[-1] % 2:  # second-sym, kramers: half-odd totals only
+                for m, value in overlap_audits(tjs, partials, kind):
                     terms = ", ".join(
                         [
                             f'{{"root": "{r}", "re": "{c.re!s}", "im": "{c.im!s}"}}'

@@ -102,20 +102,31 @@ class CouplingChain:
 def enumerate_chains(
     js: Sequence[HalfInt], total_j: Optional[HalfInt] = None
 ) -> list[CouplingChain]:
-    """Every valid intermediate sequence for js, optionally filtered by total."""
+    """Every valid intermediate sequence for js, optionally filtered by total.
+
+    The chains are the HalfInt view of _chain_partials, the walk verify runs.
+    """
     if len(js) < 2:
         raise DomainError("chain enumeration needs at least two momenta")
     js = tuple(js)
     check_momenta(js)
-    # twice partial totals j1, j12, j123, ..., extended one momentum at a time in order
-    prefixes = [(js[0].twice,)]
-    for j in js[1:]:
-        prefixes = [p + (t,) for p in prefixes for t in _ladder(p[-1], j.twice)]
     return [
         CouplingChain(js, tuple(map(HalfInt, p[1:-1])), HalfInt(p[-1]))
-        for p in prefixes
+        for p in _chain_partials([j.twice for j in js])
         if total_j is None or p[-1] == total_j.twice
     ]
+
+
+def _chain_partials(tjs: Sequence[int]) -> list[tuple[int, ...]]:
+    """The twice partial totals (j1, j12, j123, ..., J) of every chain of twice momenta tjs.
+
+    The prefixes are extended one momentum at a time over the ladder, so the
+    chains come in enumerate_chains's order.  No argument is checked here.
+    """
+    prefixes = [(tjs[0],)]
+    for t in tjs[1:]:
+        prefixes = [p + (s,) for p in prefixes for s in _ladder(p[-1], t)]
+    return prefixes
 
 
 def _chain_signed_square(

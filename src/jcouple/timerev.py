@@ -27,7 +27,6 @@ from .coupling import (
     _amplitudes,
     _chain_signed_square,
     _state_amplitudes,
-    _twices,
     generalized_coupling_coefficient,
     jmax,
     jmin,
@@ -39,7 +38,6 @@ from .numerics import (
     PhasedSurdSum,
     Surd,
     check_momenta,
-    projection_range,
     short_repr,
     short_str,
     squarefree_decomposition,
@@ -122,18 +120,19 @@ def audit_first_symmetry(
 
 
 def first_symmetry_audits(
-    chain: CouplingChain,
+    tjs: Sequence[int], partials: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], int, FirstSymmetryAudit]]:
-    """The first-symmetry audit at every projection tuple of the chain, in product order.
+    """The first-symmetry audit at every projection tuple of a chain, in product order.
 
-    Yields (twice ms, twice total m, audit) for each tuple with |sum ms| <= J;
-    the audit equals audit_first_symmetry(chain, ms, sum ms).  Each side is
-    the chain product at its own tuple, evaluated once per distinct tuple, so
+    tjs and partials are the chain's twice-momenta and twice-partial totals,
+    as coupling._twices gives them; they are not checked here.  Yields
+    (twice ms, twice total m, audit) for each tuple with |sum ms| <= J; the
+    audit equals audit_first_symmetry(chain, ms, sum ms).  Each side is the
+    chain product at its own tuple, evaluated once per distinct tuple, so
     the records at ms and -ms share their two values; neither side is
     inferred from the other.
     """
-    tjs, partials = _twices(chain)
-    top = chain.total_j.twice
+    top = partials[-1]
     values: dict[tuple[int, ...], Surd] = {}  # twice ms -> chain product
 
     def value(tms: tuple[int, ...]) -> Surd:
@@ -192,11 +191,12 @@ def _dot(
 Interpretation = Literal["paper-literal", "same-state"]
 
 
-def _check_second_symmetry(chain: CouplingChain, interpretation: Interpretation) -> None:
+def _check_second_symmetry(ttotal: int, interpretation: Interpretation) -> None:
+    """Refuses an unknown interpretation, then a total j = ttotal / 2 that is not half-odd."""
     if interpretation not in ("paper-literal", "same-state"):
         raise DomainError(f"unknown interpretation {short_repr(interpretation)}")
-    if not chain.total_j.is_half_odd:
-        raise DomainError(f"total momentum {short_str(chain.total_j)} is not half-odd")
+    if not ttotal % 2:
+        raise DomainError(f"total momentum {short_str(HalfInt(ttotal))} is not half-odd")
 
 
 def _second_symmetry(ket: dict, partner: dict, ttotal: int, tpartner: int) -> PhasedSurdSum:
@@ -224,7 +224,7 @@ def audit_second_symmetry(
     term by term.  Under "paper-literal" it carries m' = -m as printed, and
     the value is reported as computed.
     """
-    _check_second_symmetry(chain, interpretation)
+    _check_second_symmetry(chain.total_j.twice, interpretation)
     partner_m = -total_m if interpretation == "paper-literal" else total_m
     ket = dict(_state_amplitudes(chain, total_m))
     partner = ket if partner_m == total_m else dict(_state_amplitudes(chain, partner_m))
@@ -243,18 +243,23 @@ def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
 
 
 def overlap_audits(
-    chain: CouplingChain, kind: Literal["kramers", "paper-literal", "same-state"]
+    tjs: Sequence[int],
+    partials: Sequence[int],
+    kind: Literal["kramers", "paper-literal", "same-state"],
 ) -> Iterator[tuple[HalfInt, PhasedSurdSum]]:
-    """(m, value) at every projection m of the chain's total j, ascending.
+    """(m, value) at every projection m of a chain's total j, ascending.
 
-    The value equals kramers_overlap(chain, m) for kind "kramers", and
-    audit_second_symmetry(chain, m, kind) for an interpretation.  The
-    amplitude table at each m is walked at most once, so paper-literal,
-    which pairs the tables at m and -m, builds each table once, not twice.
+    tjs and partials are the chain's twice-momenta and twice-partial totals,
+    as coupling._twices gives them; only kind and the total's parity are
+    checked here.  The value equals kramers_overlap(chain, m) for kind
+    "kramers", and audit_second_symmetry(chain, m, kind) for an
+    interpretation.  The amplitude table at each m is walked at most once,
+    so paper-literal, which pairs the tables at m and -m, builds each table
+    once, not twice.
     """
+    top = partials[-1]
     if kind != "kramers":
-        _check_second_symmetry(chain, kind)
-    tjs, partials = _twices(chain)
+        _check_second_symmetry(top, kind)
     tables: dict[int, dict[tuple[int, ...], Fraction]] = {}  # twice m -> the walk's table
 
     def table(ttotal: int) -> dict[tuple[int, ...], Fraction]:
@@ -263,8 +268,8 @@ def overlap_audits(
             out = tables[ttotal] = dict(_amplitudes(tjs, partials, ttotal))
         return out
 
-    for m in projection_range(chain.total_j):
-        tm = m.twice
+    for tm in range(-top, top + 1, 2):
+        m = HalfInt(tm)
         if kind == "kramers":
             yield m, _kramers(table(tm), tm)
         else:

@@ -25,6 +25,7 @@ PACKAGE = ROOT / "src" / "jcouple"
 # of them too, and they stay listed for when it no longer does
 ORACLES = {
     ("numerics", "factorial_factorized"): "the factorized radical prefactor reference",
+    ("numerics", "projection_range"): "the twice-integer projections the overlap audits walk",
     ("coupling", "generalized_coupling_coefficient"): "the chain product on HalfInt arguments",
     ("coupling", "expand_coupled_state"): "the HalfInt/Surd view of the walk that couple prints",
     ("coupling", "enumerate_coupling_trees"): "the listing and the index decoder",

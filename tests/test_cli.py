@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from test_golden import GOLDEN, GOLDEN_ERRORS
 
-from jcouple import cli
+from jcouple import cli, coupling
 from jcouple.cli import main
 from jcouple.coupling import count_coupling_trees
-from jcouple.numerics import DomainError
+from jcouple.numerics import DomainError, HalfInt
 
 
 def run_cli(capsys, *argv):
@@ -799,6 +799,32 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.splitlines()]
         assert records and all(r["verdict"] == "agree" for r in records)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--prop", "first-sym", "--grid", "n=3,jmax=1"],
+            ["--prop", "first-sym", "--grid", "n=2,jmax=3/2"],
+            ["--prop", "second-sym", "--grid", "n=3,jmax=1"],
+            ["--prop", "second-sym", "--grid", "n=2,jmax=3/2", "--interpretation", "same-state"],
+            ["--prop", "kramers", "--grid", "n=3,jmax=1"],
+        ],
+    )
+    def test_chain_grids_build_no_chain(self, monkeypatch, capsys, argv):
+        """The chain grids walk twice-integer partial totals: no CouplingChain is built or checked."""
+        checked = []
+        post_init = coupling.CouplingChain.__post_init__
+
+        def counting(chain):
+            checked.append(chain)
+            post_init(chain)
+
+        monkeypatch.setattr(coupling.CouplingChain, "__post_init__", counting)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and out.count("\n") > 10
+        assert checked == []
+        # the count is live: the HalfInt view of the same walk builds and checks each chain
+        assert len(coupling.enumerate_chains([HalfInt(2)] * 3)) == len(checked) == 7
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--prop", "compat", "--grid", "n=2")
         assert code == 1 and "grid" in err
@@ -845,6 +871,21 @@ class TestKeplerCommand:
         assert payload["kramers"] == "guaranteed_double"
         half = next(l for l in payload["levels"] if l["js"] == ["1/2"])
         assert half["deg_paper"] == 6 and half["deg_enum"] == 8 and half["diverges"]
+
+
+    def test_merged_order_is_exact_where_floats_tie(self):
+        # -N/(N+1) and -(N+1)/(N+2) round to one float; the larger is inserted first
+        big = 10**17
+        energies = [(-1, 2), (-big, big + 1), (-(big + 1), big + 2)]
+        assert energies[1][0] / energies[1][1] == energies[2][0] / energies[2][1]
+        groups = {e: [cli._energy_fields(*e), [], 0, 0] for e in energies}
+        text = "".join(cli._kepler_json({"z": 1}, [], iter([]), groups))
+        merged = json.loads(text)["merged"]
+        assert [(int(m["energy"]["num"]), int(m["energy"]["den"])) for m in merged] == [
+            (-(big + 1), big + 2),
+            (-big, big + 1),
+            (-1, 2),
+        ]
 
 
 class TestDeterminism:

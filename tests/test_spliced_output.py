@@ -22,6 +22,7 @@ from jcouple import (
     audit_second_symmetry,
     check_compatibility,
     coupled_univalence,
+    coupling,
     enumerate_chains,
     expand_coupled_state,
     first_symmetry_audits,
@@ -63,7 +64,7 @@ def reference_records(prop, n, top, interpretation):
         for chain in enumerate_chains(js):
             base = chain.to_json_dict()
             if prop == "first-sym":
-                for tms, total, audit in first_symmetry_audits(chain):
+                for tms, total, audit in first_symmetry_audits(*coupling._twices(chain)):
                     yield {
                         "input": dict(
                             base, ms=[str(HalfInt(t)) for t in tms], m=str(HalfInt(total))

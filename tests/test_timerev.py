@@ -220,7 +220,7 @@ class TestFirstSymmetryAudits:
     def test_matches_per_record_audits(self):
         records = diverging = 0
         for chain in self._chains():
-            rows = _audit_rows(first_symmetry_audits(chain))
+            rows = _audit_rows(first_symmetry_audits(*coupling._twices(chain)))
             assert rows == _audit_rows(_first_symmetry_reference(chain))
             records += len(rows)
             diverging += sum(row[5] == "diverge" for row in rows)
@@ -237,7 +237,7 @@ class TestFirstSymmetryAudits:
         monkeypatch.setattr(timerev, "_chain_signed_square", counting)
         for chain in self._chains():
             calls.clear()
-            visited = [tms for tms, _, _ in first_symmetry_audits(chain)]
+            visited = [tms for tms, _, _ in first_symmetry_audits(*coupling._twices(chain))]
             # the |sum| cut is symmetric, so the flipped tuples are the visited ones again
             assert set(calls) == set(visited)
             assert set(calls.values()) <= {1}
@@ -436,16 +436,16 @@ class TestContraction:
             ms = list(projection_range(chain.total_j))
             for interpretation in ("paper-literal", "same-state"):
                 expected = [(m, audit_second_symmetry(chain, m, interpretation)) for m in ms]
-                assert list(overlap_audits(chain, interpretation)) == expected
+                assert list(overlap_audits(*coupling._twices(chain), interpretation)) == expected
             expected = [(m, kramers_overlap(chain, m)) for m in ms]
-            assert list(overlap_audits(chain, "kramers")) == expected
+            assert list(overlap_audits(*coupling._twices(chain), "kramers")) == expected
 
     def test_chain_audit_refuses_an_integral_total(self):
         chain = _chain(["1/2", "1/2"], [], "1")
         with pytest.raises(DomainError, match="not half-odd"):
-            next(overlap_audits(chain, "paper-literal"))
+            next(overlap_audits(*coupling._twices(chain), "paper-literal"))
         with pytest.raises(DomainError, match="unknown interpretation"):
-            next(overlap_audits(_chain(["1/2"], [], "1/2"), "literal"))
+            next(overlap_audits(*coupling._twices(_chain(["1/2"], [], "1/2")), "literal"))
 
     @pytest.mark.parametrize(
         "argv",
