@@ -10,7 +10,10 @@ the one writer.  A handler checks its input when it is called, or, for
 ``verify``, before its first text, so an error leaves stdout empty.
 
 Only ``numerics`` is imported with this module.  Each handler imports the
-modules it runs when it is called, so a subcommand loads only those.
+modules it runs when it is called, so a subcommand loads only those.  The
+output is spliced text, so ``json`` is imported only where arbitrary JSON is
+written or read: regge-audit's json table, couple's chain member and
+classify.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import re
@@ -102,6 +104,8 @@ def cmd_regge_audit(ns: argparse.Namespace) -> list[str]:
         return [",".join(keys) + "\n"] + [f"{t},{c},{a},{v}\n" for t, c, a, v in rows]
     if ns.format == "plain":
         return [f"{t}\t{c:+d}\t{a:+d}\t{v}\n" for t, c, a, v in rows]
+    import json
+
     return [json.dumps([dict(zip(keys, row)) for row in rows]) + "\n"]
 
 
@@ -133,6 +137,8 @@ def _couple_json(
     The terms are the walk's (twice ms, signed square) pairs, taken one at a
     time in walk order; no table, HalfInt or Surd is built for them.
     """
+    import json
+
     names = _names(max(j.twice for j in chain.js))
     yield f'{{"chain": {json.dumps(chain.to_json_dict())}, "m": "{total_m}", "terms": ['
     sep = ""
@@ -178,6 +184,8 @@ def cmd_diagram(ns: argparse.Namespace) -> list[str]:
 
 
 def cmd_classify(ns: argparse.Namespace) -> list[str]:
+    import json
+
     from .particles import is_fermion, particle_from_json
 
     raw = sys.stdin.read() if ns.particle in (None, "-") else ns.particle
@@ -222,6 +230,9 @@ def _ascending(energies: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -> Iterator[str]:
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
+    header's values are integers and strings that need no escaping, so its
+    members are spliced as json.dumps writes them.
+
     Each multiset's level text after "js" is spliced after every tuple's "js"
     text.  groups is {(energy num, energy den): [energy text, js texts in
     walk order, deg_paper sum, deg_enum sum]}; level_tail in cmd_kepler
@@ -229,7 +240,8 @@ def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -
     and this loop fills it, so each merged group lists its tuples in product
     order and sums the counts once per tuple.
     """
-    yield json.dumps(header)[:-1] + ', "levels": ['
+    members = [f'"{k}": {v}' if type(v) is int else f'"{k}": "{v}"' for k, v in header.items()]
+    yield "{" + ", ".join(members) + ', "levels": ['
     sep = ""
     for ts, (tail, group, paper, enum) in walk:
         text = _list_text([names[t] for t in ts])

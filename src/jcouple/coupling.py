@@ -9,13 +9,12 @@ exported as DOT diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-from .numerics import DomainError, HalfInt, Surd, check_momenta, check_momentum_pair
-from .numerics import short_repr, short_str
+from .numerics import DomainError, HalfInt, Surd, _set, _Value, check_momenta
+from .numerics import check_momentum_pair, short_repr, short_str
 from .wigner import _cg_signed_square, _ladder
 
 TreeShape = Union[int, tuple]
@@ -50,35 +49,37 @@ def jmin(js: Sequence[HalfInt]) -> HalfInt:
     return HalfInt(lo)
 
 
-@dataclass(frozen=True)
-class CouplingChain:
+class CouplingChain(_Value):
     """A sequential coupling scheme: js, the intermediates j12, j123, ..., and total j.
 
     The degenerate single-momentum chain (n=1, no coefficients) is allowed so
     time-reversal checks can treat one bare momentum uniformly.
     """
 
-    js: tuple[HalfInt, ...]
-    intermediates: tuple[HalfInt, ...]
-    total_j: HalfInt
+    __slots__ = ("js", "intermediates", "total_j")
 
-    def __post_init__(self) -> None:
-        n = len(self.js)
+    def __init__(
+        self, js: tuple[HalfInt, ...], intermediates: tuple[HalfInt, ...], total_j: HalfInt
+    ) -> None:
+        n = len(js)
         if n < 1:
             raise DomainError("a chain needs at least one momentum")
-        check_momenta(self.js)
-        if len(self.intermediates) != max(0, n - 2):
+        check_momenta(js)
+        if len(intermediates) != max(0, n - 2):
             raise DomainError(
-                f"expected {max(0, n - 2)} intermediates for n={n}, got {len(self.intermediates)}"
+                f"expected {max(0, n - 2)} intermediates for n={n}, got {len(intermediates)}"
             )
+        _set(self, "js", js)
+        _set(self, "intermediates", intermediates)
+        _set(self, "total_j", total_j)
         totals = self.partial_totals()
         for k in range(1, n):
-            if totals[k].twice not in _ladder(totals[k - 1].twice, self.js[k].twice):
+            if totals[k].twice not in _ladder(totals[k - 1].twice, js[k].twice):
                 raise DomainError(
                     f"{short_str(totals[k])} not an allowed coupling of "
-                    f"{short_str(totals[k - 1])} and {short_str(self.js[k])}"
+                    f"{short_str(totals[k - 1])} and {short_str(js[k])}"
                 )
-        if n == 1 and self.total_j != self.js[0]:
+        if n == 1 and total_j != js[0]:
             raise DomainError("single-momentum chain must have total_j = j1")
 
     @property
@@ -243,13 +244,17 @@ def generalized_coupling_coefficient(
     return Surd.from_signed_square(_chain_signed_square(*_twices(chain), tms))
 
 
-@dataclass(frozen=True)
-class StateExpansion:
+class StateExpansion(_Value):
     """Product-basis amplitudes of one coupled state |chain, total_j, total_m>."""
 
-    chain: CouplingChain
-    total_m: HalfInt
-    amplitudes: dict[tuple[HalfInt, ...], Surd]
+    __slots__ = ("chain", "total_m", "amplitudes")
+
+    def __init__(
+        self, chain: CouplingChain, total_m: HalfInt, amplitudes: dict[tuple[HalfInt, ...], Surd]
+    ) -> None:
+        _set(self, "chain", chain)
+        _set(self, "total_m", total_m)
+        _set(self, "amplitudes", amplitudes)
 
     def norm_square(self) -> Fraction:
         return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
@@ -314,8 +319,7 @@ def _canonical(obj) -> TreeShape:
     return _fold(obj, leaf, pair)[0]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CouplingTree:
+class CouplingTree(_Value):
     """Rooted binary coupling scheme: n labeled leaves, unordered children.
 
     ==, hash and repr work from the shape's tuple text, rendered by one fold,
@@ -323,7 +327,10 @@ class CouplingTree:
     recursively.
     """
 
-    shape: TreeShape
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: TreeShape) -> None:
+        _set(self, "shape", shape)
 
     def _text(self) -> str:
         """repr(self.shape), without recursion."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -24,6 +23,8 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .numerics import (
     DomainError,
     HalfInt,
+    _set,
+    _Value,
     check_momenta,
     check_table_size,
     short_str,
@@ -94,29 +95,46 @@ def kramers_applicability(z: int, statistics: Statistics) -> KramersVerdict:
     return KramersVerdict.NOT_INFERABLE
 
 
-@dataclass(frozen=True)
-class KeplerLevel:
+class KeplerLevel(_Value):
     """One j-tuple with its exact energy and both degeneracy counts."""
 
-    js: tuple[HalfInt, ...]
-    energy: Fraction
-    degeneracy_paper: int
-    degeneracy_enumerated: int
-    statistics: Statistics
+    __slots__ = ("js", "energy", "degeneracy_paper", "degeneracy_enumerated", "statistics")
+
+    def __init__(
+        self,
+        js: tuple[HalfInt, ...],
+        energy: Fraction,
+        degeneracy_paper: int,
+        degeneracy_enumerated: int,
+        statistics: Statistics,
+    ) -> None:
+        _set(self, "js", js)
+        _set(self, "energy", energy)
+        _set(self, "degeneracy_paper", degeneracy_paper)
+        _set(self, "degeneracy_enumerated", degeneracy_enumerated)
+        _set(self, "statistics", statistics)
 
     @property
     def diverges(self) -> bool:
         return self.degeneracy_paper != self.degeneracy_enumerated
 
 
-@dataclass(frozen=True)
-class MergedKeplerLevel:
+class MergedKeplerLevel(_Value):
     """Levels of equal energy pooled; a derived view over the per-tuple list."""
 
-    energy: Fraction
-    degeneracy_paper: int
-    degeneracy_enumerated: int
-    js_tuples: tuple[tuple[HalfInt, ...], ...]
+    __slots__ = ("energy", "degeneracy_paper", "degeneracy_enumerated", "js_tuples")
+
+    def __init__(
+        self,
+        energy: Fraction,
+        degeneracy_paper: int,
+        degeneracy_enumerated: int,
+        js_tuples: tuple[tuple[HalfInt, ...], ...],
+    ) -> None:
+        _set(self, "energy", energy)
+        _set(self, "degeneracy_paper", degeneracy_paper)
+        _set(self, "degeneracy_enumerated", degeneracy_enumerated)
+        _set(self, "js_tuples", js_tuples)
 
 
 def _spectrum_walk(

@@ -6,13 +6,15 @@ Gaussian-rational coefficients (``PhasedSurdSum``, the one sparse
 combination type), and prime-factorized factorials.  Everything
 is immutable, exact, and safe to share across threads; floats appear only in
 the explicitly approximate conversions.
+
+The value classes of every module derive from ``_Value``, a slotted base
+that refuses assignment; a module that defines them imports nothing for it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -38,18 +40,87 @@ def short_repr(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# immutable value classes
+
+# each __init__ sets its fields with this, past _Value's refusing __setattr__
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes, with the semantics of a frozen dataclass.
+
+    A subclass lists its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, and sets each with ``_set``.  Assignment and
+    deletion raise AttributeError; ``==`` holds only between instances of
+    one class, and compares and hashes the field tuple; repr is the
+    dataclass text ``Name(field=value, ...)``; ``copy`` and ``pickle``
+    rebuild a value through ``__init__``.  HalfInt, Surd and
+    GaussianRational write ``==`` and hash out on their fields, as the
+    dataclass did: they sit on the hot paths.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+# ---------------------------------------------------------------------------
 # half-integers
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Element of Z/2 stored losslessly as ``twice`` its value (j=3/2 <-> twice=3)."""
+class HalfInt(_Value):
+    """Element of Z/2 stored losslessly as ``twice`` its value (j=3/2 <-> twice=3).
 
-    twice: int
+    Ordered by value; comparing with anything but a HalfInt raises TypeError.
+    ``>`` and ``>=`` are ``<`` and ``<=`` reflected.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
-            raise DomainError(f"twice must be an integer, got {short_repr(self.twice)}")
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int) -> None:
+        if not isinstance(twice, int) or isinstance(twice, bool):
+            raise DomainError(f"twice must be an integer, got {short_repr(twice)}")
+        _set(self, "twice", twice)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice == other.twice
+
+    def __hash__(self) -> int:
+        return hash((self.twice,))
+
+    def __lt__(self, other: HalfInt) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice < other.twice
+
+    def __le__(self, other: HalfInt) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.twice <= other.twice
 
     @property
     def is_integral(self) -> bool:
@@ -154,21 +225,31 @@ def check_table_size(width: int, base: int, name: str) -> None:
 # quadratic surds
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(_Value):
     """Exact value ``sign * sqrt(radicand)`` with a nonnegative rational radicand."""
 
-    sign: int
-    radicand: Fraction
+    __slots__ = ("sign", "radicand")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or +1, got {short_repr(self.sign)}")
-        if not isinstance(self.radicand, Fraction) or self.radicand < 0:
-            shown = short_repr(self.radicand)
+    def __init__(self, sign: int, radicand: Fraction) -> None:
+        # True and 1.0 compare equal to 1, so the type is checked too
+        if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (-1, 0, 1):
+            raise DomainError(f"sign must be -1, 0 or +1, got {short_repr(sign)}")
+        # a Fraction's denominator is positive: its numerator carries its sign
+        if not isinstance(radicand, Fraction) or radicand.numerator < 0:
+            shown = short_repr(radicand)
             raise DomainError(f"radicand must be a nonnegative Fraction, got {shown}")
-        if (self.sign == 0) != (self.radicand == 0):
+        if (sign == 0) != (radicand.numerator == 0):
             raise DomainError("sign is zero exactly when the radicand is zero")
+        _set(self, "sign", sign)
+        _set(self, "radicand", radicand)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sign, self.radicand) == (other.sign, other.radicand)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.radicand))
 
     @classmethod
     def zero(cls) -> Surd:
@@ -261,12 +342,27 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
 # Gaussian rationals and phased surd sums
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
+class GaussianRational(_Value):
+    """a + b*i with exact rational a, b, each an int or a Fraction."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Union[Fraction, int], im: Union[Fraction, int]) -> None:
+        if type(re) is not Fraction or type(im) is not Fraction:
+            for name, part in (("re", re), ("im", im)):
+                if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
+                    shown = short_repr(part)
+                    raise DomainError(f"{name} must be an int or a Fraction, got {shown}")
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @classmethod
     def from_rational(cls, q: Union[Fraction, int]) -> GaussianRational:
@@ -426,12 +522,14 @@ class PhasedSurdSum:
 # factorials in prime-factorized form
 
 
-@dataclass(frozen=True)
-class FactorizedFactorial:
+class FactorizedFactorial(_Value):
     """n! as ascending (prime, exponent) pairs; exponents via Legendre's formula."""
 
-    n: int
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "exponents")
+
+    def __init__(self, n: int, exponents: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "exponents", exponents)
 
     def exponent(self, p: int) -> int:
         for prime, e in self.exponents:

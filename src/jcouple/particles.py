@@ -2,37 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .numerics import DomainError, short_repr
+from .numerics import DomainError, _set, _Value, short_repr
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(_Value):
     """A basic particle carrying its univalence: -1 fermion, +1 boson."""
 
-    univalence: int
+    __slots__ = ("univalence",)
 
-    def __post_init__(self) -> None:
-        u = self.univalence
+    def __init__(self, univalence: int) -> None:
+        u = univalence
         # True and 1.0 compare equal to 1, so the type is checked too
         if isinstance(u, bool) or not isinstance(u, int) or u not in (-1, 1):
             raise DomainError(f"leaf univalence must be +-1, got {short_repr(u)}")
+        _set(self, "univalence", u)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(_Value):
     """A compound particle; children are its subparticles."""
 
-    children: tuple["ParticleTree", ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if not self.children:
+    def __init__(self, children: tuple[ParticleTree, ...]) -> None:
+        if not children:
             raise DomainError("a compound particle needs at least one subparticle")
-        for child in self.children:
+        for child in children:
             if not isinstance(child, (Leaf, Node)):
                 raise DomainError(f"a subparticle must be a Leaf or a Node, got {short_repr(child)}")
+        _set(self, "children", children)
 
 
 ParticleTree = Union[Leaf, Node]

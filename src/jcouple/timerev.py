@@ -15,7 +15,6 @@ claimed identities, since exact evaluation is the whole point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import neg
@@ -37,6 +36,8 @@ from .numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
+    _set,
+    _Value,
     check_momenta,
     short_repr,
     short_str,
@@ -87,13 +88,15 @@ def apply_time_reversal(
     return _reversed(expansion.amplitudes, expansion.total_m.twice)
 
 
-@dataclass(frozen=True)
-class FirstSymmetryAudit:
+class FirstSymmetryAudit(_Value):
     """Coefficient product at (ms, m) vs the product at (-ms, -m)."""
 
-    lhs: Surd
-    rhs: Surd
-    ratio: int | None
+    __slots__ = ("lhs", "rhs", "ratio")
+
+    def __init__(self, lhs: Surd, rhs: Surd, ratio: int | None) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "ratio", ratio)
 
     @property
     def verdict(self) -> str:

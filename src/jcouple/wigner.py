@@ -9,29 +9,30 @@ a ``Fraction`` and the radical prefactor from factorials and binomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .numerics import DomainError, HalfInt, Surd, check_momentum_pair, short_str
+from .numerics import DomainError, HalfInt, Surd, _set, _Value, check_momentum_pair, short_str
 
 
-@dataclass(frozen=True)
-class CgArgs:
+class CgArgs(_Value):
     """Arguments of a single coefficient <j1 m1 j2 m2 | j m>."""
 
-    j1: HalfInt
-    m1: HalfInt
-    j2: HalfInt
-    m2: HalfInt
-    j: HalfInt
-    m: HalfInt
+    __slots__ = ("j1", "m1", "j2", "m2", "j", "m")
 
-    def __post_init__(self) -> None:
-        check_momentum_pair(self.j1, self.m1, "(j1, m1)")
-        check_momentum_pair(self.j2, self.m2, "(j2, m2)")
-        check_momentum_pair(self.j, self.m, "(j, m)")
+    def __init__(
+        self, j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j: HalfInt, m: HalfInt
+    ) -> None:
+        check_momentum_pair(j1, m1, "(j1, m1)")
+        check_momentum_pair(j2, m2, "(j2, m2)")
+        check_momentum_pair(j, m, "(j, m)")
+        _set(self, "j1", j1)
+        _set(self, "m1", m1)
+        _set(self, "j2", j2)
+        _set(self, "m2", m2)
+        _set(self, "j", j)
+        _set(self, "m", m)
 
     def twices(self) -> tuple[int, int, int, int, int, int]:
         return (
@@ -139,25 +140,26 @@ def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3:
 # Regge magic squares
 
 
-@dataclass(frozen=True)
-class RSymbol:
+class RSymbol(_Value):
     """3x3 magic square of nonnegative integers encoding a 3j symbol.
 
     Column i holds j_i + m_i and j_i - m_i in rows 2 and 3.
     """
 
-    rows: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __init__(
+        self, rows: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
+    ) -> None:
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise DomainError("R-symbol needs a 3x3 matrix")
-        entries = [x for row in self.rows for x in row]
+        entries = [x for row in rows for x in row]
         if any(not isinstance(x, int) or x < 0 for x in entries):
-            shown = short_str(self.rows)
-            raise DomainError(f"R-symbol entries must be nonnegative integers: {shown}")
-        sums = [sum(r) for r in self.rows] + [sum(col) for col in zip(*self.rows)]
+            raise DomainError(f"R-symbol entries must be nonnegative integers: {short_str(rows)}")
+        sums = [sum(r) for r in rows] + [sum(col) for col in zip(*rows)]
         if len(set(sums)) != 1:
             raise DomainError(f"row/column sums differ: {short_str(sums)}")
+        _set(self, "rows", rows)
 
     @property
     def magic_sum(self) -> int:
@@ -187,13 +189,15 @@ def regge_symbol(
     return RSymbol(rows)
 
 
-@dataclass(frozen=True)
-class ReggeAuditEntry:
+class ReggeAuditEntry(_Value):
     """One orbit element: the claimed epsilon multiplier vs the evaluated one."""
 
-    transform: str
-    claimed: int
-    actual: int
+    __slots__ = ("transform", "claimed", "actual")
+
+    def __init__(self, transform: str, claimed: int, actual: int) -> None:
+        _set(self, "transform", transform)
+        _set(self, "claimed", claimed)
+        _set(self, "actual", actual)
 
     @property
     def agrees(self) -> bool:

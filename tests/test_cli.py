@@ -812,13 +812,13 @@ class TestVerifyCommand:
     def test_chain_grids_build_no_chain(self, monkeypatch, capsys, argv):
         """The chain grids walk twice-integer partial totals: no CouplingChain is built or checked."""
         checked = []
-        post_init = coupling.CouplingChain.__post_init__
+        init = coupling.CouplingChain.__init__
 
-        def counting(chain):
+        def counting(chain, *args):
             checked.append(chain)
-            post_init(chain)
+            init(chain, *args)
 
-        monkeypatch.setattr(coupling.CouplingChain, "__post_init__", counting)
+        monkeypatch.setattr(coupling.CouplingChain, "__init__", counting)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and out.count("\n") > 10
         assert checked == []

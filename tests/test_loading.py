@@ -3,9 +3,12 @@
 The package resolves its public names on first access, and each CLI handler
 imports the modules it runs when it is called.  A start-up import that
 creeps back shows here as an extra module; a handler whose own import is
-wrong shows as a failing run.
+wrong shows as a failing run.  The value classes need no `dataclasses`
+(which pulls in `inspect`), and only the handlers that write or read
+arbitrary JSON import `json`, so neither is loaded on the start path.
 """
 
+import functools
 import importlib
 import json
 import subprocess
@@ -89,19 +92,27 @@ EXPORTS = {
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
-# prints the jcouple modules loaded after running its code, in a fresh interpreter
+# prints the modules that running its code adds, in a fresh interpreter; the
+# snapshot is taken after the snippet's own imports and before the printer's
 LOADED = """
-import json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 {}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "jcouple")))
+added = set(sys.modules) - before
+import json
+print(json.dumps(sorted(added)))
 """
 RUN_MAIN = """
-import contextlib, io
 from jcouple import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(json.loads(sys.argv[1])) == 0
+    assert cli.main(sys.argv[1:]) == 0
 """
+PARSER = "import jcouple.cli\njcouple.cli.build_parser()"
 START = ["jcouple", "jcouple.cli", "jcouple.numerics"]
+# standard modules no jcouple process may load: the value classes are not dataclasses
+HEAVY = {"dataclasses", "inspect"}
+# the subcommands that write only spliced text, and so load no json either
+JSON_FREE = {"cg", "threej", "schemes", "diagram", "verify", "kepler"}
 # each subcommand once, and the modules it adds to START
 SUBCOMMANDS = [
     (["cg", "--j1", "1/2", "--m1", "1/2", "--j2", "1/2", "--m2", "-1/2", "--j", "0", "--m", "0"],
@@ -119,7 +130,9 @@ SUBCOMMANDS = [
 ]
 
 
-def loaded(code: str, *args: str) -> list[str]:
+@functools.cache
+def added(code: str, *args: str) -> frozenset[str]:
+    """The modules that code, run with args as sys.argv[1:], adds to a fresh interpreter."""
     run = subprocess.run(
         [sys.executable, "-c", LOADED.format(code), *args],
         capture_output=True,
@@ -127,7 +140,12 @@ def loaded(code: str, *args: str) -> list[str]:
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
+    return frozenset(json.loads(run.stdout))
+
+
+def loaded(code: str, *args: str) -> list[str]:
+    """The jcouple modules among them, sorted."""
+    return sorted(m for m in added(code, *args) if m.split(".")[0] == "jcouple")
 
 
 def test_import_loads_no_submodule():
@@ -135,13 +153,27 @@ def test_import_loads_no_submodule():
 
 
 def test_parser_loads_only_numerics():
-    assert loaded("import jcouple.cli\njcouple.cli.build_parser()") == START
+    assert loaded(PARSER) == START
+
+
+def test_start_path_loads_no_dataclasses_inspect_or_json():
+    assert added(PARSER) & (HEAVY | {"json"}) == set()
 
 
 @pytest.mark.parametrize("argv, modules", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_what_it_runs(argv, modules):
     expected = sorted(START + [f"jcouple.{m}" for m in modules])
-    assert loaded(RUN_MAIN, json.dumps(argv)) == expected
+    assert loaded(RUN_MAIN, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in SUBCOMMANDS], ids=[a[0] for a, _ in SUBCOMMANDS])
+def test_subcommand_skips_dataclasses_and_unneeded_json(argv):
+    forbidden = HEAVY | ({"json"} if argv[0] in JSON_FREE else set())
+    assert added(RUN_MAIN, *argv) & forbidden == set()
+
+
+def test_json_free_subcommands_are_listed():
+    assert JSON_FREE < {argv[0] for argv, _ in SUBCOMMANDS}
 
 
 def test_all_lists_the_exports():

@@ -264,6 +264,13 @@ class TestSurd:
         with pytest.raises(DomainError):
             Surd(1, Fraction(0))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0, True, False, "1", None])
+    def test_sign_is_an_int(self, sign):
+        # 1.0 and True compare equal to 1, and a JSON dict would carry them as given
+        radicand = Fraction(2) if sign else Fraction(0)
+        with pytest.raises(DomainError, match=r"sign must be -1, 0 or \+1, got "):
+            Surd(sign, radicand)
+
     def test_from_signed_square(self):
         assert Surd.from_signed_square(Fraction(-1, 3)) == Surd(-1, Fraction(1, 3))
         assert Surd.from_signed_square(0).is_zero
@@ -316,6 +323,23 @@ _sums = st.builds(
         max_size=4,
     ),
 )
+
+
+class TestGaussianRational:
+    @pytest.mark.parametrize("part", [0.5, 1.0, True, False, "1", None, complex(1)])
+    def test_parts_are_ints_or_fractions(self, part):
+        for re, im, name in ((part, 0, "re"), (Fraction(0), part, "im")):
+            with pytest.raises(DomainError, match=f"^{name} must be an int or a Fraction, got "):
+                GaussianRational(re, im)
+
+    def test_ints_and_fractions_are_kept_as_given(self):
+        value = GaussianRational(1, Fraction(-1, 2))
+        assert (value.re, type(value.re)) == (1, int)
+        assert (value.im, type(value.im)) == (Fraction(-1, 2), Fraction)
+
+    def test_no_float_enters_an_exact_sum(self):
+        with pytest.raises(DomainError):
+            PhasedSurdSum({2: GaussianRational(0.5, 0)})
 
 
 class TestPhasedSurdSum:
