@@ -44,6 +44,8 @@ def short_repr(obj) -> str:
 
 # each __init__ sets its fields with this, past _Value's refusing __setattr__
 _set = object.__setattr__
+# the trusted constructors (_raw) make an instance with this, past __init__'s checks
+_new = object.__new__
 
 
 class _Value:
@@ -197,7 +199,10 @@ def check_momenta(js: Iterable[HalfInt]) -> None:
 
 
 def check_momentum_pair(j: HalfInt, m: HalfInt, name: str) -> None:
-    """The one (j, m) validity rule: j >= 0, |m| <= j, and j - m integral."""
+    """The one (j, m) validity rule: both HalfInt, j >= 0, |m| <= j, and j - m integral."""
+    if type(j) is not HalfInt or type(m) is not HalfInt:
+        shown = f"({short_repr(j)}, {short_repr(m)})"
+        raise DomainError(f"{name} must be a pair of HalfInt values, got {shown}")
     check_momenta((j,))
     if abs(m.twice) > j.twice:
         raise DomainError(f"{name}: |m|={short_str(abs(m))} exceeds j={short_str(j)}")
@@ -223,6 +228,15 @@ def check_table_size(width: int, base: int, name: str) -> None:
 
 # ---------------------------------------------------------------------------
 # quadratic surds
+
+
+def _exact(q: Union[Fraction, int], name: str) -> Fraction:
+    """q as a Fraction; only an int or a Fraction: a float's binary rounding is not exact."""
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise DomainError(f"{name} must be an int or a Fraction, got {short_repr(q)}")
+    return Fraction(q)
 
 
 class Surd(_Value):
@@ -252,6 +266,14 @@ class Surd(_Value):
         return hash((self.sign, self.radicand))
 
     @classmethod
+    def _raw(cls, sign: int, radicand: Fraction) -> Surd:
+        # trusted constructor: sign in (-1, 0, 1), radicand a nonnegative Fraction, zero together
+        out = _new(cls)
+        _set(out, "sign", sign)
+        _set(out, "radicand", radicand)
+        return out
+
+    @classmethod
     def zero(cls) -> Surd:
         return cls(0, Fraction(0))
 
@@ -262,7 +284,7 @@ class Surd(_Value):
     @classmethod
     def sqrt(cls, q: Union[Fraction, int]) -> Surd:
         """The nonnegative square root of q >= 0."""
-        q = Fraction(q)
+        q = _exact(q, "radicand")
         if q < 0:
             raise DomainError(f"cannot take a real square root of {short_str(q)}")
         return cls(1 if q else 0, q)
@@ -270,7 +292,7 @@ class Surd(_Value):
     @classmethod
     def from_signed_square(cls, q: Union[Fraction, int]) -> Surd:
         """Build sign(q) * sqrt(|q|); the standard exact carrier for CG values."""
-        q = Fraction(q)
+        q = _exact(q, "signed square")
         if q == 0:
             return cls.zero()
         return cls(1 if q > 0 else -1, abs(q))
@@ -366,7 +388,7 @@ class GaussianRational(_Value):
 
     @classmethod
     def from_rational(cls, q: Union[Fraction, int]) -> GaussianRational:
-        return cls(Fraction(q), Fraction(0))
+        return cls(_exact(q, "re"), Fraction(0))
 
     @classmethod
     def coerce(cls, value: Union[GaussianRational, Fraction, int]) -> GaussianRational:
@@ -410,8 +432,6 @@ class GaussianRational(_Value):
 
 
 ScalarLike = Union["GaussianRational", Fraction, int]
-
-_new = object.__new__
 
 
 class PhasedSurdSum:

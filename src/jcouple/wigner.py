@@ -3,7 +3,11 @@
 Values use the Condon-Shortley convention: every coefficient is a real surd
 and the stretched coefficient <j1 j1 j2 j2|j1+j2, j1+j2> equals +1.  The
 closed Racah form is evaluated in exact integer arithmetic: the Racah sum as
-a ``Fraction`` and the radical prefactor from factorials and binomials.
+a ``Fraction`` and the radical prefactor as an integer numerator and
+denominator from factorials and binomials, combined into the signed square
+as one ``Fraction`` at the end.  That value is in lowest terms, so ``cg``
+wraps it in a ``Surd`` through the trusted ``Surd._raw``, and ``three_j``
+goes from it to one ``Fraction`` and one ``Surd`` without a ``cg`` value.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> b
     return tm == tm1 + tm2 and tj in _ladder(tj1, tj2)
 
 
-def _radical_prefactor(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> Fraction:
+def _radical_prefactor(
+    tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int
+) -> tuple[int, int]:
+    # numerator and denominator, not in lowest terms, of
     # (2j+1) (j+m)! (j-m)! (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! a! b! c! / (a+b+c+1)!
     # with a = j1+j2-j, b = j+j1-j2, c = j-j1+j2; the triangle part is taken as
     # a! b! c! / (a+b+c+1)! = 1 / ((a+b+c+1) C(a+b+c, a) C(b+c, b))
@@ -66,7 +73,7 @@ def _radical_prefactor(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int)
     for tj_, tm_ in ((tj, tm), (tj1, tm1), (tj2, tm2)):
         num *= math.factorial((tj_ + tm_) // 2) * math.factorial((tj_ - tm_) // 2)
     den = (a + b + c + 1) * math.comb(a + b + c, a) * math.comb(b + c, b)
-    return Fraction(num, den)
+    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -90,15 +97,20 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) 
             * math.factorial((tj - tj1 - tm2) // 2 + k)
         )
         total += Fraction((-1) ** k, den)
-    if total == 0:
+    p, q = total.numerator, total.denominator
+    if not p:
         return Fraction(0)
-    sign = 1 if total > 0 else -1
-    return sign * total * total * _radical_prefactor(tj1, tm1, tj2, tm2, tj, tm)
+    # sign(total) * total**2 * prefactor, reduced once
+    num, den = _radical_prefactor(tj1, tm1, tj2, tm2, tj, tm)
+    return Fraction((p if p > 0 else -p) * p * num, q * q * den)
 
 
 def cg(args: CgArgs) -> Surd:
     """Exact coefficient; zero (not an error) outside the selection rules."""
-    return Surd.from_signed_square(_cg_signed_square(*args.twices()))
+    value = _cg_signed_square(*args.twices())
+    # the kernel's Fraction is already in lowest terms, so the Surd needs no check
+    sign = (value.numerator > 0) - (value.numerator < 0)
+    return Surd._raw(sign, -value if sign < 0 else value)
 
 
 def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> Fraction:
@@ -113,14 +125,19 @@ def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> 
 
 
 def _three_j_from_cg(
-    sign: int, radicand: Fraction, tj1: int, tj2: int, tj3: int, tm3: int
+    value: Fraction, tj1: int, tj2: int, tj3: int, tm3: int
 ) -> tuple[int, Fraction]:
-    """(sign, radicand) of a 3j symbol from those of C = <j1 m1 j2 m2|j3, -m3>, unchecked.
+    """(sign, radicand) of a 3j symbol from the signed square of C = <j1 m1 j2 m2|j3, -m3>.
 
-    The one place a 3j symbol's phase and scale are applied, on twice-arguments.
-    Where C is nonzero, j1-j2-m3 = (j1+m1)+(j2+m2)-2j2 is an integer.
+    The one place a 3j symbol's phase and scale are applied, on twice-arguments,
+    in one Fraction.  Where C is nonzero, j1-j2-m3 = (j1+m1)+(j2+m2)-2j2 is an
+    integer.
     """
-    return (-sign if (tj1 - tj2 - tm3) % 4 else sign), radicand / (tj3 + 1)
+    p = value.numerator
+    sign = (p > 0) - (p < 0)
+    if (tj1 - tj2 - tm3) % 4:
+        sign = -sign
+    return sign, Fraction(p if p > 0 else -p, value.denominator * (tj3 + 1))
 
 
 def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3: HalfInt) -> Surd:
@@ -130,10 +147,8 @@ def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3:
     full Regge orbit behaves (even permutations and transposition invariant,
     odd permutations scaled by the univalence of j1+j2+j3).
     """
-    value = cg(CgArgs(j1, m1, j2, m2, j3, -m3))
-    return Surd(
-        *_three_j_from_cg(value.sign, value.radicand, j1.twice, j2.twice, j3.twice, m3.twice)
-    )
+    value = _cg_signed_square(*CgArgs(j1, m1, j2, m2, j3, -m3).twices())
+    return Surd._raw(*_three_j_from_cg(value, j1.twice, j2.twice, j3.twice, m3.twice))
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +256,13 @@ def regge_orbit_audit(
     entries = []
     for name, claimed, (tj1, tm1, tj2, tm2, tj3, tm3) in _orbit_arguments(square):
         value = _cg_signed_square(tj1, tm1, tj2, tm2, tj3, -tm3)
-        sign, radicand = _three_j_from_cg(1 if value > 0 else -1, abs(value), tj1, tj2, tj3, tm3)
+        sign, radicand = _three_j_from_cg(value, tj1, tj2, tj3, tm3)
         if not entries:  # _ORBIT's first element, the identity: the base
             if not radicand:
                 raise DomainError("orbit audit needs a nonzero base 3j value")
-            base = Surd(sign, radicand)
+            base = Surd._raw(sign, radicand)
         elif radicand != base.radicand:
-            changed = Surd.from_signed_square(sign * radicand)
+            changed = Surd._raw(sign, radicand)
             raise DomainError(f"transform {name} changed the magnitude: {changed} vs {base}")
         entries.append(ReggeAuditEntry(name, claimed, sign * base.sign))
     return entries

@@ -14,7 +14,7 @@ sympy = pytest.importorskip("sympy")
 
 from sympy import Rational, S, nsimplify, sqrt  # noqa: E402
 from sympy.physics.quantum.cg import CG  # noqa: E402
-from sympy.physics.wigner import wigner_3j  # noqa: E402
+from sympy.physics.wigner import clebsch_gordan, wigner_3j  # noqa: E402
 
 from jcouple.numerics import HalfInt  # noqa: E402
 from jcouple.wigner import CgArgs, cg, regge_orbit_audit, three_j  # noqa: E402
@@ -63,6 +63,48 @@ def test_three_j_matches_sympy_on_random_inputs():
             S(tj1) / 2, S(tj2) / 2, S(tj) / 2, S(tm1) / 2, S(tm2) / 2, S(-tm) / 2
         )
         assert (reference - _as_sympy(mine)).simplify() == 0
+
+
+def _random_large_args(rng, tmax):
+    """Twice-arguments of a coefficient with every momentum, the total's too, at most tmax/2."""
+    while True:
+        args = _random_cg_args(rng, tmax)
+        if args[4] <= tmax:
+            return args
+
+
+def _same_exact_value(reference, surd):
+    """Sign and exact square compared: for a real surd that is the whole value, no simplify()."""
+    sign = 1 if reference > 0 else -1 if reference < 0 else 0
+    return sign == surd.sign and reference**2 == Rational(
+        surd.radicand.numerator, surd.radicand.denominator
+    )
+
+
+def test_cg_matches_sympy_up_to_j_60():
+    rng = random.Random(60)
+    nonzero = top = 0
+    for _ in range(60):
+        tj1, tm1, tj2, tm2, tj, tm = _random_large_args(rng, 120)
+        top = max(top, tj1, tj2, tj)
+        mine = cg(CgArgs(*map(HalfInt, (tj1, tm1, tj2, tm2, tj, tm))))
+        reference = clebsch_gordan(*(Rational(t, 2) for t in (tj1, tj2, tj, tm1, tm2, tm)))
+        assert _same_exact_value(reference, mine), (tj1, tm1, tj2, tm2, tj, tm)
+        nonzero += not mine.is_zero
+    assert nonzero > 40 and top > 110
+
+
+def test_three_j_matches_sympy_up_to_j_60():
+    rng = random.Random(61)
+    nonzero = top = 0
+    for _ in range(60):
+        tj1, tm1, tj2, tm2, tj, tm = _random_large_args(rng, 120)
+        top = max(top, tj1, tj2, tj)
+        mine = three_j(*map(HalfInt, (tj1, tm1, tj2, tm2, tj, -tm)))
+        reference = wigner_3j(*(Rational(t, 2) for t in (tj1, tj2, tj, tm1, tm2, -tm)))
+        assert _same_exact_value(reference, mine), (tj1, tm1, tj2, tm2, tj, -tm)
+        nonzero += not mine.is_zero
+    assert nonzero > 40 and top > 110
 
 
 def _transformed(rows, transform):

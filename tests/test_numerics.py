@@ -107,6 +107,48 @@ class TestOneNonnegativityRule:
         )
 
 
+class TestMomentumPairIsHalfInt:
+    """The one (j, m) rule refuses a j or an m that is not a HalfInt, naming the pair."""
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (
+                lambda: CgArgs(1, 0, 1, 0, 1, 0),
+                "(j1, m1) must be a pair of HalfInt values, got (1, 0)",
+            ),
+            (
+                lambda: cg(CgArgs(ONE, ONE, ONE, 0.0, ONE, ONE)),
+                "(j2, m2) must be a pair of HalfInt values, got (HalfInt(twice=2), 0.0)",
+            ),
+            (
+                lambda: three_j(ONE, ONE, ONE, -ONE, ONE, 0.5),
+                "(j, m) must be a pair of HalfInt values, got (HalfInt(twice=2), -0.5)",
+            ),
+            (
+                lambda: regge_symbol(ONE, ONE, ONE, -ONE, True, ONE),
+                "(c, gamma) must be a pair of HalfInt values, got (True, HalfInt(twice=2))",
+            ),
+            (
+                lambda: cg_normalization_sum(Fraction(1), ONE, ONE, ONE),
+                "(j1, m1) must be a pair of HalfInt values, got (Fraction(1, 1), HalfInt(twice=2))",
+            ),
+            (
+                lambda: generalized_coupling_coefficient(
+                    CouplingChain((ONE, ONE), (), ONE), (ONE, "0"), ONE
+                ),
+                "(j_k, m_k) must be a pair of HalfInt values, got (HalfInt(twice=2), '0')",
+            ),
+        ],
+        ids=["CgArgs-int", "cg-float", "three_j-float", "regge_symbol-bool",
+             "cg_normalization_sum-Fraction", "generalized_coupling_coefficient-str"],
+    )
+    def test_message(self, call, text):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == text
+
+
 # twice a momentum of 4,401 digits: past the interpreter's int-to-str digit limit
 BIG = 2 * 10**4400
 ZERO = parse_halfint("0")
@@ -275,6 +317,20 @@ class TestSurd:
         assert Surd.from_signed_square(Fraction(-1, 3)) == Surd(-1, Fraction(1, 3))
         assert Surd.from_signed_square(0).is_zero
 
+    @pytest.mark.parametrize("q", [0.1, 1.0, -0.5, True, False, "1", None])
+    def test_no_float_or_bool_enters_a_surd(self, q):
+        # Fraction(0.1) is the float's binary value, 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match=r"^radicand must be an int or a Fraction, got "):
+            Surd.sqrt(q)
+        with pytest.raises(DomainError, match=r"^signed square must be an int or a Fraction, got "):
+            Surd.from_signed_square(q)
+
+    def test_ints_become_fractions(self):
+        for value in (Surd.sqrt(2), Surd.from_signed_square(-2)):
+            assert type(value.radicand) is Fraction
+        assert Surd.sqrt(2) == Surd(1, Fraction(2))
+        assert Surd.from_signed_square(-2) == Surd(-1, Fraction(2))
+
     def test_mul_associative_commutative_random(self):
         rng = random.Random(20260810)
         for _ in range(1000):
@@ -340,6 +396,23 @@ class TestGaussianRational:
     def test_no_float_enters_an_exact_sum(self):
         with pytest.raises(DomainError):
             PhasedSurdSum({2: GaussianRational(0.5, 0)})
+
+    @pytest.mark.parametrize("q", [0.1, 1.0, True, False, "1", None])
+    def test_no_float_or_bool_enters_through_from_rational(self, q):
+        calls = (
+            GaussianRational.from_rational,
+            GaussianRational.coerce,
+            lambda x: PhasedSurdSum({2: x}),
+            PhasedSurdSum({2: Fraction(1)}).scaled,
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=r"^re must be an int or a Fraction, got "):
+                call(q)
+
+    def test_from_rational_makes_fractions(self):
+        for q in (3, Fraction(-1, 2)):
+            value = GaussianRational.from_rational(q)
+            assert (value.re, type(value.re), value.im) == (q, Fraction, 0)
 
 
 class TestPhasedSurdSum:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -195,8 +196,90 @@ class TestRadicalPrefactorReference:
         large = [self._random_tuple(rng, 800) for _ in range(300)]
         assert max(t[4] for t in large) > 600
         for t in small + large:
-            assert _radical_prefactor(*t) == self._factorized(*t, factorized), t
+            assert Fraction(*_radical_prefactor(*t)) == self._factorized(*t, factorized), t
         assert time.perf_counter() - start < 2.0
+
+
+class TestCoefficientReference:
+    """cg and three_j against the combine and the 3j route they replaced.
+
+    The reference kernel is the Racah sum with its Fraction combine,
+    sign * total * total * prefactor; its cg is a validated Surd of that
+    signed square, and its 3j applies the phase and the 1/(2j3+1) scale to
+    that Surd and validates the result.
+    """
+
+    @staticmethod
+    def _signed_square(tj1, tm1, tj2, tm2, tj, tm):
+        if tm != tm1 + tm2 or tj not in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+            return Fraction(0)
+        f = math.factorial
+        total = Fraction(0)
+        for k in range(
+            max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2),
+            min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2) + 1,
+        ):
+            den = (
+                f(k)
+                * f((tj1 + tj2 - tj) // 2 - k)
+                * f((tj1 - tm1) // 2 - k)
+                * f((tj2 + tm2) // 2 - k)
+                * f((tj - tj2 + tm1) // 2 + k)
+                * f((tj - tj1 - tm2) // 2 + k)
+            )
+            total += Fraction((-1) ** k, den)
+        if total == 0:
+            return Fraction(0)
+        a, b, c = (tj1 + tj2 - tj) // 2, (tj + tj1 - tj2) // 2, (tj - tj1 + tj2) // 2
+        num = tj + 1
+        for tj_, tm_ in ((tj, tm), (tj1, tm1), (tj2, tm2)):
+            num *= f((tj_ + tm_) // 2) * f((tj_ - tm_) // 2)
+        prefactor = Fraction(num, (a + b + c + 1) * math.comb(a + b + c, a) * math.comb(b + c, b))
+        sign = 1 if total > 0 else -1
+        return sign * total * total * prefactor
+
+    @classmethod
+    def _cg(cls, tj1, tm1, tj2, tm2, tj, tm):
+        return Surd.from_signed_square(cls._signed_square(tj1, tm1, tj2, tm2, tj, tm))
+
+    @classmethod
+    def _three_j(cls, tj1, tm1, tj2, tm2, tj3, tm3):
+        value = cls._cg(tj1, tm1, tj2, tm2, tj3, -tm3)
+        sign = -value.sign if (tj1 - tj2 - tm3) % 4 else value.sign
+        return Surd(sign, value.radicand / (tj3 + 1))
+
+    @staticmethod
+    def _assert_same(value, reference, what):
+        assert value.sign == reference.sign, what
+        assert value.radicand == reference.radicand, what
+        assert type(value.radicand) is Fraction, what
+
+    def test_matches_reference_route(self):
+        start = time.perf_counter()
+        # every tuple of valid (j, m) pairs with momenta <= 3, selection-rule zeros included
+        pairs = [(tj, tm) for tj in range(7) for tm in range(-tj, tj + 1, 2)]
+        small = [(*p1, *p2, *p3) for p1, p2, p3 in itertools.product(pairs, repeat=3)]
+        rng = random.Random(2016)
+        large = [TestRadicalPrefactorReference._random_tuple(rng, 400) for _ in range(300)]
+        assert max(max(t[::2]) for t in large) > 350
+        kinds = {"selection": 0, "racah": 0, "nonzero": 0}
+        for t in small + large:
+            args = tuple(map(HalfInt, t))
+            reference = self._cg(*t)
+            self._assert_same(cg(CgArgs(*args)), reference, ("cg", t))
+            mirrored = (*t[:5], -t[5])
+            self._assert_same(three_j(*args[:5], -args[5]), self._three_j(*mirrored), ("3j", t))
+            if not _selection_ok(*t):
+                kinds["selection"] += 1
+            else:
+                kinds["racah" if reference.is_zero else "nonzero"] += 1
+        assert len(small) == 21952
+        # <1 0 1 0|1 0> passes the selection rule, but its Racah sum vanishes
+        racah_zero = (2, 0, 2, 0, 2, 0)
+        assert racah_zero in small and _selection_ok(*racah_zero)
+        assert self._signed_square(*racah_zero) == 0
+        assert min(kinds.values()) >= 40, kinds
+        assert time.perf_counter() - start < 6.0
 
 
 class TestNormalization:
