@@ -238,6 +238,8 @@ def generalized_coupling_coefficient(
         raise DomainError(f"expected {chain.n} projections, got {len(ms)}")
     for j, m in zip(chain.js, ms):
         check_momentum_pair(j, m, "(j_k, m_k)")
+    if type(total_m) is not HalfInt:
+        raise DomainError(f"total_m must be a HalfInt, got {short_repr(total_m)}")
     tms = [m.twice for m in ms]
     if sum(tms) != total_m.twice:
         return Surd.zero()

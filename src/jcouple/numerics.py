@@ -230,12 +230,17 @@ def check_table_size(width: int, base: int, name: str) -> None:
 # quadratic surds
 
 
-def _exact(q: Union[Fraction, int], name: str) -> Fraction:
-    """q as a Fraction; only an int or a Fraction: a float's binary rounding is not exact."""
-    if type(q) is Fraction:
-        return q
+def _check_exact(q: object, name: str) -> None:
+    """Refuse q unless it is an int or a Fraction: a float's binary rounding is not exact."""
     if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"{name} must be an int or a Fraction, got {short_repr(q)}")
+
+
+def _exact(q: Union[Fraction, int], name: str) -> Fraction:
+    """q, an int or a Fraction, as a Fraction."""
+    if type(q) is Fraction:
+        return q
+    _check_exact(q, name)
     return Fraction(q)
 
 
@@ -371,10 +376,8 @@ class GaussianRational(_Value):
 
     def __init__(self, re: Union[Fraction, int], im: Union[Fraction, int]) -> None:
         if type(re) is not Fraction or type(im) is not Fraction:
-            for name, part in (("re", re), ("im", im)):
-                if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
-                    shown = short_repr(part)
-                    raise DomainError(f"{name} must be an int or a Fraction, got {shown}")
+            _check_exact(re, "re")
+            _check_exact(im, "im")
         _set(self, "re", re)
         _set(self, "im", im)
 

@@ -7,7 +7,8 @@ a ``Fraction`` and the radical prefactor as an integer numerator and
 denominator from factorials and binomials, combined into the signed square
 as one ``Fraction`` at the end.  That value is in lowest terms, so ``cg``
 wraps it in a ``Surd`` through the trusted ``Surd._raw``, and ``three_j``
-goes from it to one ``Fraction`` and one ``Surd`` without a ``cg`` value.
+scales that ``cg`` value by one ``Fraction`` division into one more trusted
+``Surd``.
 """
 
 from __future__ import annotations
@@ -125,19 +126,14 @@ def cg_normalization_sum(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt) -> 
 
 
 def _three_j_from_cg(
-    value: Fraction, tj1: int, tj2: int, tj3: int, tm3: int
+    sign: int, radicand: Fraction, tj1: int, tj2: int, tj3: int, tm3: int
 ) -> tuple[int, Fraction]:
-    """(sign, radicand) of a 3j symbol from the signed square of C = <j1 m1 j2 m2|j3, -m3>.
+    """(sign, radicand) of a 3j symbol from those of C = <j1 m1 j2 m2|j3, -m3>, unchecked.
 
-    The one place a 3j symbol's phase and scale are applied, on twice-arguments,
-    in one Fraction.  Where C is nonzero, j1-j2-m3 = (j1+m1)+(j2+m2)-2j2 is an
-    integer.
+    The one place a 3j symbol's phase and scale are applied, on twice-arguments.
+    Where C is nonzero, j1-j2-m3 = (j1+m1)+(j2+m2)-2j2 is an integer.
     """
-    p = value.numerator
-    sign = (p > 0) - (p < 0)
-    if (tj1 - tj2 - tm3) % 4:
-        sign = -sign
-    return sign, Fraction(p if p > 0 else -p, value.denominator * (tj3 + 1))
+    return (-sign if (tj1 - tj2 - tm3) % 4 else sign), radicand / (tj3 + 1)
 
 
 def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3: HalfInt) -> Surd:
@@ -147,8 +143,12 @@ def three_j(j1: HalfInt, m1: HalfInt, j2: HalfInt, m2: HalfInt, j3: HalfInt, m3:
     full Regge orbit behaves (even permutations and transposition invariant,
     odd permutations scaled by the univalence of j1+j2+j3).
     """
-    value = _cg_signed_square(*CgArgs(j1, m1, j2, m2, j3, -m3).twices())
-    return Surd._raw(*_three_j_from_cg(value, j1.twice, j2.twice, j3.twice, m3.twice))
+    if type(m3) is not HalfInt:  # refused as given, before it is negated
+        check_momentum_pair(j3, m3, "(j, m)")
+    value = cg(CgArgs(j1, m1, j2, m2, j3, -m3))
+    return Surd._raw(
+        *_three_j_from_cg(value.sign, value.radicand, j1.twice, j2.twice, j3.twice, m3.twice)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +256,13 @@ def regge_orbit_audit(
     entries = []
     for name, claimed, (tj1, tm1, tj2, tm2, tj3, tm3) in _orbit_arguments(square):
         value = _cg_signed_square(tj1, tm1, tj2, tm2, tj3, -tm3)
-        sign, radicand = _three_j_from_cg(value, tj1, tj2, tj3, tm3)
+        sign, radicand = _three_j_from_cg(1 if value > 0 else -1, abs(value), tj1, tj2, tj3, tm3)
         if not entries:  # _ORBIT's first element, the identity: the base
             if not radicand:
                 raise DomainError("orbit audit needs a nonzero base 3j value")
             base = Surd._raw(sign, radicand)
         elif radicand != base.radicand:
-            changed = Surd._raw(sign, radicand)
+            changed = Surd.from_signed_square(sign * radicand)
             raise DomainError(f"transform {name} changed the magnitude: {changed} vs {base}")
         entries.append(ReggeAuditEntry(name, claimed, sign * base.sign))
     return entries

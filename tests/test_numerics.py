@@ -123,7 +123,11 @@ class TestMomentumPairIsHalfInt:
             ),
             (
                 lambda: three_j(ONE, ONE, ONE, -ONE, ONE, 0.5),
-                "(j, m) must be a pair of HalfInt values, got (HalfInt(twice=2), -0.5)",
+                "(j, m) must be a pair of HalfInt values, got (HalfInt(twice=2), 0.5)",
+            ),
+            (
+                lambda: three_j(ONE, ONE, ONE, -ONE, ONE, "0"),
+                "(j, m) must be a pair of HalfInt values, got (HalfInt(twice=2), '0')",
             ),
             (
                 lambda: regge_symbol(ONE, ONE, ONE, -ONE, True, ONE),
@@ -139,9 +143,16 @@ class TestMomentumPairIsHalfInt:
                 ),
                 "(j_k, m_k) must be a pair of HalfInt values, got (HalfInt(twice=2), '0')",
             ),
+            (
+                lambda: generalized_coupling_coefficient(
+                    CouplingChain((ONE, ONE), (), ONE), (ONE, -ONE), 0
+                ),
+                "total_m must be a HalfInt, got 0",
+            ),
         ],
-        ids=["CgArgs-int", "cg-float", "three_j-float", "regge_symbol-bool",
-             "cg_normalization_sum-Fraction", "generalized_coupling_coefficient-str"],
+        ids=["CgArgs-int", "cg-float", "three_j-float", "three_j-str", "regge_symbol-bool",
+             "cg_normalization_sum-Fraction", "generalized_coupling_coefficient-str",
+             "generalized_coupling_coefficient-total_m-int"],
     )
     def test_message(self, call, text):
         with pytest.raises(DomainError) as info:

@@ -201,7 +201,7 @@ class TestRadicalPrefactorReference:
 
 
 class TestCoefficientReference:
-    """cg and three_j against the combine and the 3j route they replaced.
+    """cg and three_j against the combine and the validated Surds they replaced.
 
     The reference kernel is the Racah sum with its Fraction combine,
     sign * total * total * prefactor; its cg is a validated Surd of that
