@@ -15,38 +15,25 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .numerics import DomainError, HalfInt, Surd, _set, _Value, check_momenta
 from .numerics import check_momentum_pair, short_repr, short_str
-from .wigner import _cg_signed_square, _ladder
+from .wigner import _cg_signed_square, _ladder, _totals
 
 TreeShape = Union[int, tuple]
 
 
 def jmax(js: Sequence[HalfInt]) -> HalfInt:
-    """Largest total momentum: the plain sum."""
+    """Largest total momentum: the top of the ladder _totals, the plain sum."""
     if len(js) < 2:
         raise DomainError("jmax needs at least two momenta")
     check_momenta(js)
-    total = 0
-    for j in js:
-        total += j.twice
-    return HalfInt(total)
+    return HalfInt(_totals([j.twice for j in js])[-1])
 
 
 def jmin(js: Sequence[HalfInt]) -> HalfInt:
-    """Smallest total momentum, by the prefix recursion min |i - j_n|."""
+    """Smallest total momentum: the bottom of the ladder _totals."""
     if len(js) < 2:
         raise DomainError("jmin needs at least two momenta")
     check_momenta(js)
-    lo = hi = js[0].twice  # the totals so far are the ladder lo, lo+1, ..., hi
-    for j in js[1:]:
-        t = j.twice
-        if t < lo:
-            lo, hi = lo - t, hi + t
-        elif t > hi:
-            lo, hi = t - hi, hi + t
-        else:
-            # nearest ladder point to t inside [lo, hi]; offsets step by 2
-            lo, hi = (t - lo) % 2, hi + t
-    return HalfInt(lo)
+    return HalfInt(_totals([j.twice for j in js])[0])
 
 
 class CouplingChain(_Value):

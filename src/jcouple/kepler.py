@@ -145,9 +145,11 @@ def _spectrum_walk(
     The energy and both counts are symmetric in the tuple, so they are
     evaluated once per sorted tuple: ``make(energy_num, energy_den,
     deg_paper, deg_enum)`` runs once per such multiset, with the energy as a
-    reduced fraction, and its result, which must not be None, is kept and
-    yielded with every ordering.  The arguments and the guard are checked
-    here, before the first tuple.
+    reduced fraction, and its result, which must not be None, is yielded
+    with every ordering.  It is kept only for a multiset of two or more
+    distinct values: one of a single value has just one ordering, so at
+    z=1 nothing is kept.  The arguments and the guard are checked here,
+    before the first tuple.
     """
     if z < 1:
         raise DomainError("need at least one particle")
@@ -165,7 +167,9 @@ def _walk(
         key = tuple(sorted(ts))
         record = records.get(key)
         if record is None:
-            record = records[key] = make(*_multiset_fields(key, fermion))
+            record = make(*_multiset_fields(key, fermion))
+            if key[0] != key[-1]:  # a multiset of one value has only this ordering
+                records[key] = record
         yield ts, record
 
 

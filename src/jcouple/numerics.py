@@ -192,8 +192,10 @@ def projection_range(j: HalfInt) -> Iterator[HalfInt]:
 
 
 def check_momenta(js: Iterable[HalfInt]) -> None:
-    """The one nonnegativity rule for momenta: the first negative j is refused."""
+    """The one rule for momenta: the first j that is not a HalfInt, or is negative, is refused."""
     for j in js:
+        if type(j) is not HalfInt:
+            raise DomainError(f"momentum must be a HalfInt, got {short_repr(j)}")
         if j.twice < 0:
             raise DomainError(f"momentum must be nonnegative, got {short_str(j)}")
 

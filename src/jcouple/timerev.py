@@ -27,8 +27,6 @@ from .coupling import (
     _chain_signed_square,
     _state_amplitudes,
     generalized_coupling_coefficient,
-    jmax,
-    jmin,
 )
 from .numerics import (
     DomainError,
@@ -43,6 +41,7 @@ from .numerics import (
     short_str,
     squarefree_decomposition,
 )
+from .wigner import _totals
 
 
 def t_squared_sign(j: HalfInt) -> int:
@@ -52,21 +51,21 @@ def t_squared_sign(j: HalfInt) -> int:
 
 
 def coupled_univalence(js: Sequence[HalfInt]) -> int:
-    """Univalence of any total momentum coupled from js: parity of the half-odd count."""
+    """Univalence of any total momentum coupled from js: the parity of twice their sum."""
     check_momenta(js)
-    return -1 if sum(1 for j in js if j.is_half_odd) % 2 else 1
+    return -1 if sum(j.twice for j in js) % 2 else 1
 
 
 def check_compatibility(js: Sequence[HalfInt], j: HalfInt) -> bool:
     """Truth of (-1)^(2(sum js - j)) = 1 for an admissible total j of two or more momenta."""
     if len(js) < 2:
         raise DomainError("compatibility needs at least two momenta")
-    lo, hi = jmin(js), jmax(js)
-    if not (lo.twice <= j.twice <= hi.twice) or (j.twice - lo.twice) % 2:
+    check_momenta((*js, j))
+    tjs = [x.twice for x in js]
+    if j.twice not in _totals(tjs):
         shown = short_str([short_str(x) for x in js])
         raise DomainError(f"total {short_str(j)} is not admissible for {shown}")
-    exponent = sum(x.twice for x in js) - j.twice
-    return exponent % 2 == 0
+    return (sum(tjs) - j.twice) % 2 == 0
 
 
 def _reversed(amplitudes: dict, ttotal: int) -> tuple[int, dict]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .numerics import DomainError, HalfInt, Surd, _set, _Value, check_momentum_pair, short_str
 
@@ -53,6 +53,17 @@ class CgArgs(_Value):
 def _ladder(ta: int, tb: int) -> range:
     """The one coupling ladder: twice |a-b|, |a-b|+1, ..., a+b, for momenta twice ta and tb."""
     return range(abs(ta - tb), ta + tb + 1, 2)
+
+
+def _totals(tjs: Sequence[int]) -> range:
+    """The n-momentum ladder: the twice totals that momenta of twice values tjs couple to.
+
+    With S the sum of tjs, twice J runs from max(2 max(tjs) - S, S mod 2) to
+    S in steps of 2.  For two momenta this is _ladder, which the kernel keeps
+    for its speed.  tjs must be nonempty.
+    """
+    total = sum(tjs)
+    return range(max(2 * max(tjs) - total, total % 2), total + 1, 2)
 
 
 def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> bool:

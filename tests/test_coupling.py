@@ -38,7 +38,7 @@ from jcouple.numerics import (
     parse_halfint,
     projection_range,
 )
-from jcouple.wigner import CgArgs, cg
+from jcouple.wigner import CgArgs, _ladder, _totals, cg
 
 from oracles import brute_force_totals
 
@@ -83,6 +83,21 @@ class TestJminJmax:
                 totals = brute_force_totals(js)
                 assert jmin(js).twice == min(totals)
                 assert jmax(js).twice == max(totals)
+
+
+class TestTotals:
+    """The closed-form ladder of n momenta against every chain's total, not just its ends."""
+
+    def test_matches_every_chain_total(self):
+        for n in range(1, 7):
+            for tjs in itertools.product(range(5), repeat=n):
+                reached = sorted({p[-1] for p in coupling._chain_partials(tjs)})
+                assert list(_totals(tjs)) == reached, tjs
+
+    def test_two_momenta_is_the_ladder(self):
+        for a in range(41):
+            for b in range(41):
+                assert _totals((a, b)) == _ladder(a, b)
 
 
 class TestEnumerateChains:

@@ -14,7 +14,9 @@ sorting the walk's terms, and the univalence and compat grids at n=4,
 jmax=2 and the second-sym grid at n=2, jmax=5/2 before verify records were
 written as spliced text, and the regge-audit tables in all three formats,
 a classify verdict and the cg and 3j zero values before every subcommand
-returned its text for main to write; any change to what these commands print, byte
+returned its text for main to write, and the univalence grid at n=6,
+jmax=1/2 and the compat grid at n=5, jmax=3/2 before the totals of n
+momenta were read from one closed-form ladder; any change to what these commands print, byte
 for byte, fails here.  Every error case also checks that nothing reached
 stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -208,6 +210,14 @@ GOLDEN = [
         "d85e4ee6a169c1f7ca67ccbb24eec90bc6b0cd7ba297055a7bf15eff9b465ef4",
     ),
     (("schemes", "--n", "8"), "f72cc82ff76f3df2f6e25c0aa8a40d1a719084df1d9bd039cf451387cc5550b5"),
+    (
+        ("verify", "--prop", "univalence", "--grid", "n=6,jmax=1/2"),
+        "e5ec165fd3c75b5589bb6c4432daab74592f7f8b21f83e39c8f021f4f0bfbc12",
+    ),
+    (
+        ("verify", "--prop", "compat", "--grid", "n=5,jmax=3/2"),
+        "5ee9886b743e087f42c2dfa833e9e1d29e267f9998c362691c48bbd4ed16c8a6",
+    ),
 ]
 
 
@@ -231,6 +241,7 @@ IDS = [
     "regge-audit-json", "regge-audit-csv", "regge-audit-plain", "classify-boson",
     "cg-zero-json", "cg-zero-plain", "threej-zero-json", "threej-zero-plain",
     "verify-univalence-grid-empty-chunk", "schemes-n8",
+    "verify-univalence-n6-jmax1/2", "verify-compat-n5-jmax3/2",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"

@@ -86,12 +86,15 @@ class TestOneNonnegativityRule:
             lambda: generalized_coupling_coefficient(
                 _unchecked_chain((ONE, NEGATIVE), HALF), (ONE, HALF), HALF
             ),
+            # the total is checked by the same rule as the momenta
+            lambda: check_compatibility((ONE, HALF), NEGATIVE),
         ],
         ids=[
             "jmax", "jmin", "CouplingChain", "enumerate_chains", "coupled_univalence",
             "t_squared_sign", "projection_range", "energy_level", "degeneracy_paper",
             "degeneracy_enumerated", "cg", "three_j", "regge_symbol",
             "cg_normalization_sum", "expand_coupled_state", "generalized_coupling_coefficient",
+            "check_compatibility-total",
         ],
     )
     def test_message(self, call):
@@ -105,6 +108,38 @@ class TestOneNonnegativityRule:
         assert str(info.value) == (
             f"momentum must be nonnegative, got -{'9' * 59}... (4001 characters)"
         )
+
+
+class TestMomentumIsHalfInt:
+    """check_momenta refuses a momentum that is not a HalfInt in one line, naming it.
+
+    Each of these raised an AttributeError on .twice before.
+    """
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda: jmin([1, 2]), "momentum must be a HalfInt, got 1"),
+            (lambda: t_squared_sign(1), "momentum must be a HalfInt, got 1"),
+            (lambda: coupled_univalence([0.5, 1.5]), "momentum must be a HalfInt, got 0.5"),
+            (lambda: enumerate_chains([1, 2]), "momentum must be a HalfInt, got 1"),
+            (lambda: CouplingChain((1, 1), (), 2), "momentum must be a HalfInt, got 1"),
+            (lambda: list(projection_range(2)), "momentum must be a HalfInt, got 2"),
+            (
+                lambda: degeneracy_paper([1], Statistics.BOSON0),
+                "momentum must be a HalfInt, got 1",
+            ),
+            (lambda: check_compatibility([ONE, ONE], 2), "momentum must be a HalfInt, got 2"),
+            (lambda: check_momenta([ONE, "1/2"]), "momentum must be a HalfInt, got '1/2'"),
+        ],
+        ids=["jmin", "t_squared_sign", "coupled_univalence", "enumerate_chains",
+             "CouplingChain", "projection_range", "degeneracy_paper", "check_compatibility-total",
+             "check_momenta-str"],
+    )
+    def test_message(self, call, text):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == text
 
 
 class TestMomentumPairIsHalfInt:
