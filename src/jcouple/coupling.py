@@ -56,6 +56,12 @@ class CouplingChain(_Value):
             raise DomainError(
                 f"expected {max(0, n - 2)} intermediates for n={n}, got {len(intermediates)}"
             )
+        # by type only: a negative intermediate is refused below as a coupling it does not allow
+        for j in intermediates:
+            if type(j) is not HalfInt:
+                raise DomainError(f"intermediate must be a HalfInt, got {short_repr(j)}")
+        if type(total_j) is not HalfInt:
+            raise DomainError(f"total_j must be a HalfInt, got {short_repr(total_j)}")
         _set(self, "js", js)
         _set(self, "intermediates", intermediates)
         _set(self, "total_j", total_j)
@@ -238,13 +244,6 @@ class StateExpansion(_Value):
 
     __slots__ = ("chain", "total_m", "amplitudes")
 
-    def __init__(
-        self, chain: CouplingChain, total_m: HalfInt, amplitudes: dict[tuple[HalfInt, ...], Surd]
-    ) -> None:
-        _set(self, "chain", chain)
-        _set(self, "total_m", total_m)
-        _set(self, "amplitudes", amplitudes)
-
     def norm_square(self) -> Fraction:
         return sum((a.radicand for a in self.amplitudes.values()), Fraction(0))
 
@@ -317,9 +316,6 @@ class CouplingTree(_Value):
     """
 
     __slots__ = ("shape",)
-
-    def __init__(self, shape: TreeShape) -> None:
-        _set(self, "shape", shape)
 
     def _text(self) -> str:
         """repr(self.shape), without recursion."""

@@ -23,7 +23,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .numerics import (
     DomainError,
     HalfInt,
-    _set,
     _Value,
     check_momenta,
     check_table_size,
@@ -96,23 +95,9 @@ def kramers_applicability(z: int, statistics: Statistics) -> KramersVerdict:
 
 
 class KeplerLevel(_Value):
-    """One j-tuple with its exact energy and both degeneracy counts."""
+    """One j-tuple js with its exact energy, both degeneracy counts and its statistics."""
 
     __slots__ = ("js", "energy", "degeneracy_paper", "degeneracy_enumerated", "statistics")
-
-    def __init__(
-        self,
-        js: tuple[HalfInt, ...],
-        energy: Fraction,
-        degeneracy_paper: int,
-        degeneracy_enumerated: int,
-        statistics: Statistics,
-    ) -> None:
-        _set(self, "js", js)
-        _set(self, "energy", energy)
-        _set(self, "degeneracy_paper", degeneracy_paper)
-        _set(self, "degeneracy_enumerated", degeneracy_enumerated)
-        _set(self, "statistics", statistics)
 
     @property
     def diverges(self) -> bool:
@@ -120,21 +105,9 @@ class KeplerLevel(_Value):
 
 
 class MergedKeplerLevel(_Value):
-    """Levels of equal energy pooled; a derived view over the per-tuple list."""
+    """Levels of equal energy pooled, with their js_tuples; a view over the per-tuple list."""
 
     __slots__ = ("energy", "degeneracy_paper", "degeneracy_enumerated", "js_tuples")
-
-    def __init__(
-        self,
-        energy: Fraction,
-        degeneracy_paper: int,
-        degeneracy_enumerated: int,
-        js_tuples: tuple[tuple[HalfInt, ...], ...],
-    ) -> None:
-        _set(self, "energy", energy)
-        _set(self, "degeneracy_paper", degeneracy_paper)
-        _set(self, "degeneracy_enumerated", degeneracy_enumerated)
-        _set(self, "js_tuples", js_tuples)
 
 
 def _spectrum_walk(

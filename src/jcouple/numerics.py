@@ -51,17 +51,40 @@ _new = object.__new__
 class _Value:
     """Base of the immutable value classes, with the semantics of a frozen dataclass.
 
-    A subclass lists its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and sets each with ``_set``.  Assignment and
-    deletion raise AttributeError; ``==`` holds only between instances of
-    one class, and compares and hashes the field tuple; repr is the
-    dataclass text ``Name(field=value, ...)``; ``copy`` and ``pickle``
-    rebuild a value through ``__init__``.  HalfInt, Surd and
-    GaussianRational write ``==`` and hash out on their fields, as the
-    dataclass did: they sit on the hot paths.
+    A subclass lists its fields once, in ``__slots__``; ``__init__`` binds
+    its arguments to them by position or keyword, and a missing, unknown or
+    doubled field raises TypeError naming the class.  A subclass that checks
+    its input writes its own ``__init__``, setting each field with ``_set``.
+    Assignment and deletion raise AttributeError; ``==`` holds only between
+    instances of one class, and compares and hashes the field tuple; repr is
+    the dataclass text ``Name(field=value, ...)``; ``copy`` and ``pickle``
+    rebuild a value through ``__init__``.  Only Surd writes ``==`` and hash
+    on its fields (CouplingTree on its shape's text): the first-symmetry
+    verdicts compare Surds, at 1.1 us a call against 2.5 us via the tuple.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # by position, then by keyword, into slot order
+            cls = type(self).__qualname__
+            if len(args) > len(names):
+                raise TypeError(f"{cls}() takes {len(names)} fields, got {len(args)} by position")
+            given = dict(zip(names, args))
+            for name, value in kwargs.items():
+                if name not in names:
+                    raise TypeError(f"{cls}() has no field {name!r}")
+                if name in given:
+                    raise TypeError(f"{cls}() got field {name!r} twice")
+                given[name] = value
+            for name in names:
+                if name not in given:
+                    raise TypeError(f"{cls}() missing field {name!r}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -105,14 +128,6 @@ class HalfInt(_Value):
         if not isinstance(twice, int) or isinstance(twice, bool):
             raise DomainError(f"twice must be an integer, got {short_repr(twice)}")
         _set(self, "twice", twice)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.twice == other.twice
-
-    def __hash__(self) -> int:
-        return hash((self.twice,))
 
     def __lt__(self, other: HalfInt) -> bool:
         if other.__class__ is not self.__class__:
@@ -383,14 +398,6 @@ class GaussianRational(_Value):
         _set(self, "re", re)
         _set(self, "im", im)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     @classmethod
     def from_rational(cls, q: Union[Fraction, int]) -> GaussianRational:
         return cls(_exact(q, "re"), Fraction(0))
@@ -498,10 +505,7 @@ class PhasedSurdSum:
                 merged.pop(r, None)
             else:
                 merged[r] = total
-        # _raw inlined: this sits on the audit hot path
-        out = _new(PhasedSurdSum)
-        out._terms = merged
-        return out
+        return self._raw(merged)
 
     def __neg__(self) -> PhasedSurdSum:
         return self._raw({r: -c for r, c in self._terms.items()})
@@ -551,10 +555,6 @@ class FactorizedFactorial(_Value):
     """n! as ascending (prime, exponent) pairs; exponents via Legendre's formula."""
 
     __slots__ = ("n", "exponents")
-
-    def __init__(self, n: int, exponents: tuple[tuple[int, int], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "exponents", exponents)
 
     def exponent(self, p: int) -> int:
         for prime, e in self.exponents:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import neg
 from typing import Iterator, Literal, Sequence
 
@@ -34,7 +34,6 @@ from .numerics import (
     HalfInt,
     PhasedSurdSum,
     Surd,
-    _set,
     _Value,
     check_momenta,
     short_repr,
@@ -88,14 +87,9 @@ def apply_time_reversal(
 
 
 class FirstSymmetryAudit(_Value):
-    """Coefficient product at (ms, m) vs the product at (-ms, -m)."""
+    """Coefficient product lhs at (ms, m) vs rhs at (-ms, -m), and their sign ratio (None at 0)."""
 
     __slots__ = ("lhs", "rhs", "ratio")
-
-    def __init__(self, lhs: Surd, rhs: Surd, ratio: int | None) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "ratio", ratio)
 
     @property
     def verdict(self) -> str:
@@ -173,7 +167,9 @@ def _dot(
             wp, wq = w.as_integer_ratio()
             p *= wp
             q *= wq
-            s, r = squarefree_decomposition(abs(p) * q)
+            n = abs(p) * q
+            s = isqrt(n)  # every pair product measured so far is a square; trial division is slow
+            s, r = (s, 1) if s * s == n else squarefree_decomposition(n)
             if p < 0:
                 s = -s
             acc = coefficients.get(r)

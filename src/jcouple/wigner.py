@@ -216,14 +216,9 @@ def regge_symbol(
 
 
 class ReggeAuditEntry(_Value):
-    """One orbit element: the claimed epsilon multiplier vs the evaluated one."""
+    """One orbit element, its transform: the claimed epsilon multiplier vs the actual one."""
 
     __slots__ = ("transform", "claimed", "actual")
-
-    def __init__(self, transform: str, claimed: int, actual: int) -> None:
-        _set(self, "transform", transform)
-        _set(self, "claimed", claimed)
-        _set(self, "actual", actual)
 
     @property
     def agrees(self) -> bool:

@@ -205,6 +205,35 @@ class TestOffLadderRefusal:
         assert str(info.value) == f"{echo} not an allowed coupling of 1 and 1"
 
 
+class TestChainPartsAreHalfInt:
+    """An intermediate or a total that is not a HalfInt is refused by its type, in one line.
+
+    Each raised an AttributeError on .twice before.  The check is by type
+    only, so a negative intermediate keeps the coupling text above.
+    """
+
+    @pytest.mark.parametrize(
+        "intermediates, total, message",
+        [
+            ((), 2, "total_j must be a HalfInt, got 2"),
+            ((), 1.0, "total_j must be a HalfInt, got 1.0"),
+            ((H("1"), 2), H("1"), "intermediate must be a HalfInt, got 2"),
+            ((H("1"), "1"), H("1"), "intermediate must be a HalfInt, got '1'"),
+        ],
+        ids=["int-total", "float-total", "int-intermediate", "str-intermediate"],
+    )
+    def test_refusal_text(self, intermediates, total, message):
+        js = (H("1"),) * (len(intermediates) + 2)
+        with pytest.raises(DomainError) as info:
+            CouplingChain(js, intermediates, total)
+        assert str(info.value) == message
+
+    def test_single_momentum_chain(self):
+        with pytest.raises(DomainError) as info:
+            CouplingChain((H("1"),), (), 1)
+        assert str(info.value) == "total_j must be a HalfInt, got 1"
+
+
 class TestGeneralizedCoefficient:
     def test_single_factor(self):
         value = generalized_coupling_coefficient(

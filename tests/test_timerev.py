@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -247,7 +249,28 @@ class TestFirstSymmetryAudits:
             timerev._first_symmetry(Surd(1, Fraction(1, 2)), Surd(1, Fraction(1, 3)))
 
 
+# every pair product of this audit is a perfect square with large prime factors:
+# trial division on each ran past 30 s, and isqrt finds each square at once
+SQUARE_PRODUCTS_CHILD = """
+from jcouple.coupling import CouplingChain
+from jcouple.numerics import parse_halfint as H
+from jcouple.timerev import audit_second_symmetry
+chain = CouplingChain((H("30"), H("81/2")), (), H("101/2"))
+print(repr(audit_second_symmetry(chain, H("-31/2"), "paper-literal")))
+"""
+
+
 class TestSecondSymmetry:
+    def test_large_square_pair_products_finish(self):
+        run = subprocess.run(
+            [sys.executable, "-c", SQUARE_PRODUCTS_CHILD],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert run.returncode == 0, run.stderr[-300:]
+        assert run.stdout == "PhasedSurdSum((-1*i)*sqrt(1))\n"
+
     def test_same_state_disjoint_support(self):
         value = audit_second_symmetry(_chain(["1/2", "1"], [], "1/2"), H("1/2"), "same-state")
         assert value.is_zero
@@ -417,6 +440,14 @@ class TestContraction:
                 contractions += 1
                 nonzero += not value.is_zero
         assert contractions > 1000 and nonzero > 0
+
+    def test_non_square_pair_products(self):
+        # 1/2 * 1/3 is no square, so it takes the trial-division fallback
+        bra = {(1,): Fraction(1, 2), (-1,): Fraction(-2, 3), (3,): Fraction(5, 7)}
+        ket = {(1,): Fraction(1, 3), (-1,): Fraction(3, 8), (3,): Fraction(7, 5)}
+        value = timerev._dot(bra, ket)
+        assert value == _dot_reference(bra, ket)
+        assert value == PhasedSurdSum({1: Fraction(1, 2), 6: Fraction(1, 6)})
 
     def test_cancelled_root_is_dropped(self):
         # sqrt(1/4) - sqrt(1/4) on sqrt(1) cancels; 2 * sqrt(1/2) = sqrt(2) stays
