@@ -387,15 +387,15 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
             middle = _list_text([names[t] for t in partials[1:-1]]) if n > 2 else "[]"
             head = f'{js_head}{middle}, "j": "{names[partials[-1]]}"'
             if ns.prop == "first-sym":
-                for tms, total, audit in first_symmetry_audits(tjs, partials):
-                    actual = "null" if audit.ratio is None else audit.ratio
+                for tms, total, ratio, verdict in first_symmetry_audits(tjs, partials):
+                    actual = "null" if ratio is None else ratio
                     yield (
                         f'{head}, "ms": {_list_text([names[t] for t in tms])}, '
                         f'"m": "{names[total]}"}}, "claimed": 1, "actual": {actual}, '
-                        f'"verdict": "{audit.verdict}"}}\n'
+                        f'"verdict": "{verdict}"}}\n'
                     )
             elif partials[-1] % 2:  # second-sym, kramers: half-odd totals only
-                for m, value in overlap_audits(tjs, partials, kind):
+                for tm, value in overlap_audits(tjs, partials, kind):
                     terms = ", ".join(
                         [
                             f'{{"root": "{r}", "re": "{c.re!s}", "im": "{c.im!s}"}}'
@@ -404,7 +404,7 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
                     )
                     verdict = "agree" if value.is_zero else "diverge"
                     yield (
-                        f'{head}, "m": "{m}"{extra}}}, "claimed": "0", '
+                        f'{head}, "m": "{names[tm]}"{extra}}}, "claimed": "0", '
                         f'"actual": {{"terms": [{terms}]}}, "verdict": "{verdict}"}}\n'
                     )
 

@@ -136,7 +136,9 @@ def _walk(
     z: int, twice_cut: int, fermion: bool, make: Callable[[int, int, int, int], T]
 ) -> Iterator[tuple[tuple[int, ...], T]]:
     records: dict[tuple[int, ...], T] = {}
-    for ts in itertools.product(range(twice_cut + 1), repeat=z):
+    levels = range(twice_cut + 1)
+    # product copies the range into a tuple for the whole walk; zip at z=1 does not
+    for ts in zip(levels) if z == 1 else itertools.product(levels, repeat=z):
         key = tuple(sorted(ts))
         record = records.get(key)
         if record is None:

@@ -58,9 +58,11 @@ class _Value:
     Assignment and deletion raise AttributeError; ``==`` holds only between
     instances of one class, and compares and hashes the field tuple; repr is
     the dataclass text ``Name(field=value, ...)``; ``copy`` and ``pickle``
-    rebuild a value through ``__init__``.  Only Surd writes ``==`` and hash
-    on its fields (CouplingTree on its shape's text): the first-symmetry
-    verdicts compare Surds, at 1.1 us a call against 2.5 us via the tuple.
+    rebuild a value through ``__init__``.  Only CouplingTree writes its own
+    ``==`` and hash, on its shape's text.  The verify walks build no audit
+    object per record: ``first_symmetry_audits`` yields plain (twice ms,
+    twice total m, ratio, verdict) tuples and ``overlap_audits`` (twice m,
+    PhasedSurdSum) pairs.
     """
 
     __slots__ = ()
@@ -278,14 +280,6 @@ class Surd(_Value):
             raise DomainError("sign is zero exactly when the radicand is zero")
         _set(self, "sign", sign)
         _set(self, "radicand", radicand)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sign, self.radicand) == (other.sign, other.radicand)
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.radicand))
 
     @classmethod
     def _raw(cls, sign: int, radicand: Fraction) -> Surd:

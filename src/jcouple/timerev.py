@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import neg
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 from .coupling import (
     CouplingChain,
@@ -97,13 +97,14 @@ class FirstSymmetryAudit(_Value):
         return "agree" if self.lhs == self.rhs else "diverge"
 
 
-def _first_symmetry(lhs: Surd, rhs: Surd) -> FirstSymmetryAudit:
-    """The audit of two evaluated sides: no ratio on a zero lhs, else one magnitude or an error."""
+def _first_symmetry(lhs: Surd, rhs: Surd) -> tuple[Optional[int], str]:
+    """FirstSymmetryAudit's ratio and verdict of two evaluated sides; a changed magnitude raises."""
     if lhs.is_zero:
-        return FirstSymmetryAudit(lhs, rhs, None)
+        return None, "agree" if rhs.is_zero else "diverge"
     if rhs.radicand != lhs.radicand:
         raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
-    return FirstSymmetryAudit(lhs, rhs, lhs.sign * rhs.sign)
+    ratio = lhs.sign * rhs.sign
+    return ratio, "agree" if ratio == 1 else "diverge"
 
 
 def audit_first_symmetry(
@@ -112,21 +113,21 @@ def audit_first_symmetry(
     """Exact both-sides evaluation of the projection-flip identity."""
     lhs = generalized_coupling_coefficient(chain, ms, total_m)
     rhs = generalized_coupling_coefficient(chain, [-m for m in ms], -total_m)
-    return _first_symmetry(lhs, rhs)
+    return FirstSymmetryAudit(lhs, rhs, _first_symmetry(lhs, rhs)[0])
 
 
 def first_symmetry_audits(
     tjs: Sequence[int], partials: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], int, FirstSymmetryAudit]]:
+) -> Iterator[tuple[tuple[int, ...], int, Optional[int], str]]:
     """The first-symmetry audit at every projection tuple of a chain, in product order.
 
     tjs and partials are the chain's twice-momenta and twice-partial totals,
     as coupling._twices gives them; they are not checked here.  Yields
-    (twice ms, twice total m, audit) for each tuple with |sum ms| <= J; the
-    audit equals audit_first_symmetry(chain, ms, sum ms).  Each side is the
-    chain product at its own tuple, evaluated once per distinct tuple, so
-    the records at ms and -ms share their two values; neither side is
-    inferred from the other.
+    (twice ms, twice total m, ratio, verdict) for each tuple with
+    |sum ms| <= J, the ratio and verdict of audit_first_symmetry(chain, ms,
+    sum ms); no audit object is built.  Each side is the chain product at
+    its own tuple, evaluated once per distinct tuple, so the records at ms
+    and -ms share their two values; neither side is inferred from the other.
     """
     top = partials[-1]
     values: dict[tuple[int, ...], Surd] = {}  # twice ms -> chain product
@@ -143,7 +144,8 @@ def first_symmetry_audits(
         total = sum(tms)
         if abs(total) > top:
             continue
-        yield tms, total, _first_symmetry(value(tms), value(tuple(-t for t in tms)))
+        ratio, verdict = _first_symmetry(value(tms), value(tuple(-t for t in tms)))
+        yield tms, total, ratio, verdict
 
 
 def _dot(
@@ -244,8 +246,8 @@ def overlap_audits(
     tjs: Sequence[int],
     partials: Sequence[int],
     kind: Literal["kramers", "paper-literal", "same-state"],
-) -> Iterator[tuple[HalfInt, PhasedSurdSum]]:
-    """(m, value) at every projection m of a chain's total j, ascending.
+) -> Iterator[tuple[int, PhasedSurdSum]]:
+    """(twice m, value) at every projection m of a chain's total j, ascending.
 
     tjs and partials are the chain's twice-momenta and twice-partial totals,
     as coupling._twices gives them; only kind and the total's parity are
@@ -267,9 +269,8 @@ def overlap_audits(
         return out
 
     for tm in range(-top, top + 1, 2):
-        m = HalfInt(tm)
         if kind == "kramers":
-            yield m, _kramers(table(tm), tm)
+            yield tm, _kramers(table(tm), tm)
         else:
             tpartner = -tm if kind == "paper-literal" else tm
-            yield m, _second_symmetry(table(tm), table(tpartner), tm, tpartner)
+            yield tm, _second_symmetry(table(tm), table(tpartner), tm, tpartner)

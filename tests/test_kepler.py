@@ -261,26 +261,22 @@ class TestOncePerMultiset:
         assert spectrum(z, j_cut, statistics) == reference_spectrum(z, j_cut, statistics)
 
     def test_one_particle_walk_keeps_no_record(self):
-        # a multiset of one value has one ordering, so its record is not kept;
-        # keeping all 100,000 records peaked about 30 MB above the 4 MB pool
-        # that itertools.product holds for range(100,000), which stays
-        def peak(walk):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in walk():
-                pass
-            return tracemalloc.get_traced_memory()[1] - before
-
+        # a multiset of one value has one ordering, so its record is not kept,
+        # and the levels stream: keeping all 100,000 records peaked about 30 MB,
+        # and itertools.product's copy of range(100,000) about 4 MB
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            pool = peak(lambda: itertools.product(range(100_000), repeat=1))
-            walk = peak(lambda: _spectrum_walk(1, HalfInt(99_999), Statistics.BOSON0, lambda *f: f))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in _spectrum_walk(1, HalfInt(99_999), Statistics.BOSON0, lambda *f: f):
+                pass
+            walk = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert walk - pool < 1 << 20
+        assert walk < 1 << 20
 
 
 class TestIntegerWalk:

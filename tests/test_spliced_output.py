@@ -4,7 +4,9 @@ Both commands render their JSON by hand, from parts rendered once and
 joined with f-strings.  The references here build each verify record as
 the dict it stands for (the builder `verify` used before its records were
 spliced) and each couple payload from `expand_coupled_state`; the output
-must equal json.dumps of the reference byte for byte, line by line.
+must equal json.dumps of the reference byte for byte, line by line.  A
+first-sym record's ratio and verdict come from `audit_first_symmetry` at its
+tuple, not from the paired walk that `verify` runs.
 """
 
 import contextlib
@@ -19,13 +21,12 @@ from hypothesis import strategies as st
 
 from jcouple import (
     HalfInt,
+    audit_first_symmetry,
     audit_second_symmetry,
     check_compatibility,
     coupled_univalence,
-    coupling,
     enumerate_chains,
     expand_coupled_state,
-    first_symmetry_audits,
     halfint_range,
     jmax,
     jmin,
@@ -64,11 +65,13 @@ def reference_records(prop, n, top, interpretation):
         for chain in enumerate_chains(js):
             base = chain.to_json_dict()
             if prop == "first-sym":
-                for tms, total, audit in first_symmetry_audits(*coupling._twices(chain)):
+                for ms in itertools.product(*(projection_range(j) for j in chain.js)):
+                    total = HalfInt(sum(m.twice for m in ms))
+                    if abs(total) > chain.total_j:
+                        continue
+                    audit = audit_first_symmetry(chain, ms, total)
                     yield {
-                        "input": dict(
-                            base, ms=[str(HalfInt(t)) for t in tms], m=str(HalfInt(total))
-                        ),
+                        "input": dict(base, ms=[str(m) for m in ms], m=str(total)),
                         "claimed": 1,
                         "actual": audit.ratio,
                         "verdict": audit.verdict,

@@ -199,14 +199,7 @@ def _first_symmetry_reference(chain):
         if abs(total) > chain.total_j.twice:
             continue
         audit = audit_first_symmetry(chain, ms, HalfInt(total))
-        yield tuple(m.twice for m in ms), total, audit
-
-
-def _audit_rows(records):
-    return [
-        (tms, total, audit.lhs, audit.rhs, audit.ratio, audit.verdict)
-        for tms, total, audit in records
-    ]
+        yield tuple(m.twice for m in ms), total, audit.ratio, audit.verdict
 
 
 class TestFirstSymmetryAudits:
@@ -222,10 +215,10 @@ class TestFirstSymmetryAudits:
     def test_matches_per_record_audits(self):
         records = diverging = 0
         for chain in self._chains():
-            rows = _audit_rows(first_symmetry_audits(*coupling._twices(chain)))
-            assert rows == _audit_rows(_first_symmetry_reference(chain))
+            rows = list(first_symmetry_audits(*coupling._twices(chain)))
+            assert rows == list(_first_symmetry_reference(chain))
             records += len(rows)
-            diverging += sum(row[5] == "diverge" for row in rows)
+            diverging += sum(row[3] == "diverge" for row in rows)
         assert records > 10_000 and 0 < diverging < records
 
     def test_each_visited_tuple_is_evaluated_once(self, monkeypatch):
@@ -239,14 +232,32 @@ class TestFirstSymmetryAudits:
         monkeypatch.setattr(timerev, "_chain_signed_square", counting)
         for chain in self._chains():
             calls.clear()
-            visited = [tms for tms, _, _ in first_symmetry_audits(*coupling._twices(chain))]
+            visited = [tms for tms, *_ in first_symmetry_audits(*coupling._twices(chain))]
             # the |sum| cut is symmetric, so the flipped tuples are the visited ones again
             assert set(calls) == set(visited)
             assert set(calls.values()) <= {1}
 
+    def test_verify_builds_no_audit_object(self, monkeypatch, capsys):
+        built = []
+        init = timerev.FirstSymmetryAudit.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(timerev.FirstSymmetryAudit, "__init__", counting)
+        # the counter sees the one audit the per-tuple oracle builds
+        audit_first_symmetry(_chain(["1/2", "1/2"], [], "1"), (H("1/2"), H("1/2")), H("1"))
+        assert len(built) == 1
+        assert main(["verify", "--prop", "first-sym", "--grid", "n=4,jmax=1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7620
+        assert len(built) == 1
+
     def test_magnitude_mismatch_is_an_error(self):
-        with pytest.raises(DomainError, match="flip changed the magnitude"):
+        # the one check of the flip rule, which both the walk and the oracle run
+        with pytest.raises(DomainError) as info:
             timerev._first_symmetry(Surd(1, Fraction(1, 2)), Surd(1, Fraction(1, 3)))
+        assert str(info.value) == "flip changed the magnitude: sqrt(1/2) vs sqrt(1/3)"
 
 
 # every pair product of this audit is a perfect square with large prime factors:
@@ -466,9 +477,9 @@ class TestContraction:
                 continue
             ms = list(projection_range(chain.total_j))
             for interpretation in ("paper-literal", "same-state"):
-                expected = [(m, audit_second_symmetry(chain, m, interpretation)) for m in ms]
+                expected = [(m.twice, audit_second_symmetry(chain, m, interpretation)) for m in ms]
                 assert list(overlap_audits(*coupling._twices(chain), interpretation)) == expected
-            expected = [(m, kramers_overlap(chain, m)) for m in ms]
+            expected = [(m.twice, kramers_overlap(chain, m)) for m in ms]
             assert list(overlap_audits(*coupling._twices(chain), "kramers")) == expected
 
     def test_chain_audit_refuses_an_integral_total(self):

@@ -4,10 +4,12 @@ The classes are slotted classes on one immutable base; each behaves as the
 frozen dataclass it replaced, and the reprs below are that dataclass text.
 """
 
+import ast
 import copy
 import operator
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,31 @@ UNHASHABLE = {StateExpansion}
 
 def test_every_value_class_is_listed():
     assert len({cls for cls, _, _ in CASES}) == len(CASES) == 15
+
+
+def test_only_coupling_tree_writes_its_own_eq_and_hash():
+    # every other value class compares and hashes its field tuple through _Value
+    package = Path(__file__).resolve().parent.parent / "src" / "jcouple"
+    classes = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    values, grown = {"_Value"}, True
+    while grown:
+        found = {
+            name
+            for name, node in classes.items()
+            if any(isinstance(b, ast.Name) and b.id in values for b in node.bases)
+        }
+        grown, values = not found <= values, values | found
+    own = {
+        name
+        for name in values - {"_Value"}
+        for stmt in classes[name].body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in ("__eq__", "__hash__")
+    }
+    assert len(values) == 16 and own == {"CouplingTree"}
 
 
 @pytest.mark.parametrize("cls, fields, _", CASES, ids=IDS)
