@@ -227,7 +227,15 @@ def _ascending(energies: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(approx, key=lambda e: (approx[e], Fraction(*e)))
 
 
-def _kepler_json(header: dict, names: list[str], walk: Iterator, groups: dict) -> Iterator[str]:
+class _Texts:
+    """kepler's names at z=1, where each value is one level, printed once: text on demand."""
+
+    __getitem__ = staticmethod(twice_text)
+
+
+def _kepler_json(
+    header: dict, names: list[str] | _Texts, walk: Iterator, groups: dict
+) -> Iterator[str]:
     """json.dumps of the kepler payload, written in chunks as the walk goes.
 
     header's values are integers and strings that need no escaping, so its
@@ -266,11 +274,11 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
 
     The walk runs on twice integers and calls row_tail or level_tail once per
-    multiset with the energy's reduced numerator and denominator and both
-    counts, and yields its result with every ordering.  The fields are
-    decimal strings, integers, a float and a bool, rendered as csv.writer
-    and json.dumps write them (no csv field needs quoting), because a
-    json.dumps call per multiset costs more than the rest of its work.
+    multiset with the energy's reduced num and den and both counts, and
+    yields its result with every ordering.  The fields are rendered as
+    csv.writer and json.dumps write them (none needs csv quoting), because a
+    json.dumps call per multiset costs more than the rest of its work.  The
+    value names are a table at z >= 2; at z=1 each is rendered at its one level.
     """
     from .kepler import Statistics, _check_count_digits, _spectrum_walk, kramers_applicability
 
@@ -296,7 +304,7 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail if ns.format == "csv" else level_tail)
     # both refuse before names is built
     _check_count_digits(ns.z, j_cut, statistics is Statistics.FERMION_HALF)
-    names = [twice_text(t) for t in range(j_cut.twice + 1)]
+    names = [twice_text(t) for t in range(j_cut.twice + 1)] if ns.z > 1 else _Texts()
     if ns.format == "csv":
         rows = (";".join([names[t] for t in ts]) + tail for ts, tail in walk)
         header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
@@ -333,22 +341,16 @@ def _parse_grid(text: str) -> tuple[int, HalfInt]:
     return n, top
 
 
-def _js_tuples(n: int, top: HalfInt) -> Iterator[tuple[HalfInt, ...]]:
-    values = [HalfInt(t) for t in range(0, top.twice + 1)]
-    return itertools.product(values, repeat=n)
-
-
 def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     """The audit records, each json.dumps of its record dict plus a newline.
 
     A record is {"input": {...}, "claimed": ..., "actual": ..., "verdict": ...}.
-    Its text is spliced with f-strings: the momenta's text is rendered once
-    per js tuple, the chain's members once per chain, and every member and
-    projection comes from a table of twice-integer names.  The chain grids
-    walk each js tuple's chains as twice-integer partial totals, so no chain
-    object is built.  Every value is a decimal string, a small integer or
-    null, so nothing needs escaping.  main writes each record as soon as it
-    is rendered, so a reader sees each line at once.
+    Every proposition walks one grid of twice-integer js tuples and takes
+    every momentum and projection text from one table of twice-integer names;
+    the chain grids walk each tuple's chains as twice-integer partial totals,
+    so no chain object is built.  Every value is a decimal string, a small
+    integer or null, so nothing needs escaping.  main writes each record as
+    soon as it is rendered, so a reader sees each line at once.
     """
     from .coupling import _chain_partials, jmax, jmin
     from .timerev import (
@@ -360,10 +362,15 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
     )
 
     n, top = _parse_grid(ns.grid)
-    if ns.prop in ("univalence", "compat"):
-        names = _names(top.twice)
-        for js in _js_tuples(n, top):
-            head = f'{{"input": {{"js": {_list_text([names[x.twice] for x in js])}, "j": "'
+    if ns.prop == "second-sym":
+        kind, extra = ns.interpretation, f', "interpretation": "{ns.interpretation}"'
+    else:
+        kind, extra = "kramers", ""
+    names = _names(n * top.twice)  # bounds every |twice m| and twice j a record prints
+    for tjs in itertools.product(range(top.twice + 1), repeat=n):
+        head = f'{{"input": {{"js": {_list_text([names[t] for t in tjs])}'
+        if ns.prop in ("univalence", "compat"):
+            js = tuple(map(HalfInt, tjs))
             univalence = coupled_univalence(js) if ns.prop == "univalence" else None
             for j in halfint_range(jmin(js), jmax(js)):
                 if univalence is None:
@@ -372,25 +379,18 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
                     claimed, actual = univalence, t_squared_sign(j)
                 verdict = "agree" if claimed == actual else "diverge"
                 yield (
-                    f'{head}{j}"}}, "claimed": {claimed}, "actual": {actual}, '
+                    f'{head}, "j": "{names[j.twice]}"}}, "claimed": {claimed}, "actual": {actual}, '
                     f'"verdict": "{verdict}"}}\n'
                 )
-        return
-    if ns.prop == "second-sym":
-        kind, extra = ns.interpretation, f', "interpretation": "{ns.interpretation}"'
-    else:
-        kind, extra = "kramers", ""
-    names = _names(n * top.twice)  # the largest |twice m| a first-sym record prints
-    for tjs in itertools.product(range(top.twice + 1), repeat=n):
-        js_head = f'{{"input": {{"js": {_list_text([names[t] for t in tjs])}, "intermediates": '
+            continue
         for partials in _chain_partials(tjs):
             middle = _list_text([names[t] for t in partials[1:-1]]) if n > 2 else "[]"
-            head = f'{js_head}{middle}, "j": "{names[partials[-1]]}"'
+            chain_head = f'{head}, "intermediates": {middle}, "j": "{names[partials[-1]]}"'
             if ns.prop == "first-sym":
                 for tms, total, ratio, verdict in first_symmetry_audits(tjs, partials):
                     actual = "null" if ratio is None else ratio
                     yield (
-                        f'{head}, "ms": {_list_text([names[t] for t in tms])}, '
+                        f'{chain_head}, "ms": {_list_text([names[t] for t in tms])}, '
                         f'"m": "{names[total]}"}}, "claimed": 1, "actual": {actual}, '
                         f'"verdict": "{verdict}"}}\n'
                     )
@@ -404,7 +404,7 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
                     )
                     verdict = "agree" if value.is_zero else "diverge"
                     yield (
-                        f'{head}, "m": "{names[tm]}"{extra}}}, "claimed": "0", '
+                        f'{chain_head}, "m": "{names[tm]}"{extra}}}, "claimed": "0", '
                         f'"actual": {{"terms": [{terms}]}}, "verdict": "{verdict}"}}\n'
                     )
 

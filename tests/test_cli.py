@@ -458,6 +458,15 @@ class TestKeplerCliff:
         argv = ["kepler", "--z", "1", "--jcut", "99999/2", "--stats", "boson", "--format", "csv"]
         assert _peak_kib(*argv) - floor < 42 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_no_per_level_state_at_z1(self):
+        # each of the 200,000 levels is printed once, so z=1 renders a level's
+        # name as the walk reaches it; a table of every name peaked about
+        # 14 MB above the floor, rendering as it goes about 0.1 MB (Python 3.11)
+        floor = _peak_kib()
+        argv = ["kepler", "--z", "1", "--jcut", "199999/2", "--stats", "boson", "--format", "csv"]
+        assert _peak_kib(*argv) - floor < 4 * 1024
+
     def test_a_million_particles_at_jcut_zero(self):
         # one level of 10^6 zeros; an energy denominator multiplied by 4 (t+1)^2
         # once per particle ran past 30 s, against about 2.6 s for Fraction sums

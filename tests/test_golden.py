@@ -16,7 +16,9 @@ written as spliced text, and the regge-audit tables in all three formats,
 a classify verdict and the cg and 3j zero values before every subcommand
 returned its text for main to write, and the univalence grid at n=6,
 jmax=1/2 and the compat grid at n=5, jmax=3/2 before the totals of n
-momenta were read from one closed-form ladder; any change to what these commands print, byte
+momenta were read from one closed-form ladder, and the kepler spectra at
+z=1, jcut=7/2 (fermion json, boson csv) before z=1 stopped building a
+table of value names; any change to what these commands print, byte
 for byte, fails here.  Every error case also checks that nothing reached
 stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -218,6 +220,14 @@ GOLDEN = [
         ("verify", "--prop", "compat", "--grid", "n=5,jmax=3/2"),
         "5ee9886b743e087f42c2dfa833e9e1d29e267f9998c362691c48bbd4ed16c8a6",
     ),
+    (
+        ("kepler", "--z", "1", "--jcut", "7/2", "--stats", "fermion"),
+        "fc1ed5d257c9625c9036772af4f9d593d17d1369464b417ab7855497cd2e6809",
+    ),
+    (
+        ("kepler", "--z", "1", "--jcut", "7/2", "--stats", "boson", "--format", "csv"),
+        "a038e4a1abcdd71bd2a2f9f0dc61b62667a262f7d9aecff44686aad92add35a4",
+    ),
 ]
 
 
@@ -242,6 +252,7 @@ IDS = [
     "cg-zero-json", "cg-zero-plain", "threej-zero-json", "threej-zero-plain",
     "verify-univalence-grid-empty-chunk", "schemes-n8",
     "verify-univalence-n6-jmax1/2", "verify-compat-n5-jmax3/2",
+    "kepler-z1-fermion-json", "kepler-z1-boson-csv",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"
