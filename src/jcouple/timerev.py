@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import neg
 from typing import Iterator, Literal, Optional, Sequence
 
@@ -38,7 +38,6 @@ from .numerics import (
     check_momenta,
     short_repr,
     short_str,
-    squarefree_decomposition,
 )
 from .wigner import _totals
 
@@ -154,38 +153,30 @@ def _dot(
     """Sum over ms of bra(ms) * ket(ms), on {twice ms: signed square} amplitudes.
 
     Both are real, so that is the overlap <bra|ket>; tuples missing from ket
-    add 0, and neither holds a zero, as the walk yields none.  A pair whose
-    signed squares multiply to p / q (not reduced) is the value
-    sign(p) * sqrt(|p| / q) = sign(p) * s * sqrt(r) / q, with |p| * q =
-    s**2 * r and r squarefree, so it adds sign(p) * s / q to the
-    coefficient of sqrt(r); one PhasedSurdSum is built from the
-    coefficients that do not cancel.
+    add 0, and neither holds a zero, as the walk yields none.  Every pair
+    the audits match is a projection-flip pair, C(ms; m) against
+    C(-ms; -m), and the flip keeps the magnitude: a pair of signed squares
+    v and w with |v| = |w| is the rational v * sign(w), so the sum lands on
+    sqrt(1) only.  A pair whose magnitudes differ raises.
     """
-    coefficients: dict[int, tuple[int, int]] = {}  # r -> (numerator, denominator)
+    num, den = 0, 1
     for tms, v in bra.items():
         w = ket.get(tms)
         if w is not None:
+            # both in lowest terms, so equal magnitudes are equal integers
             p, q = v.as_integer_ratio()
             wp, wq = w.as_integer_ratio()
-            p *= wp
-            q *= wq
-            n = abs(p) * q
-            s = isqrt(n)  # every pair product measured so far is a square; trial division is slow
-            s, r = (s, 1) if s * s == n else squarefree_decomposition(n)
-            if p < 0:
-                s = -s
-            acc = coefficients.get(r)
-            if acc is None:
-                coefficients[r] = s, q
-            else:
-                # over the least common denominator, so the integers stay as small as the sums
-                a, b = acc
-                d = b // gcd(b, q) * q
-                coefficients[r] = a * (d // b) + s * (d // q), d
-    zero = Fraction(0)
-    return PhasedSurdSum._raw(
-        {r: GaussianRational(Fraction(a, b), zero) for r, (a, b) in coefficients.items() if a}
-    )
+            if wq != q or abs(wp) != abs(p):
+                lhs, rhs = Surd.from_signed_square(v), Surd.from_signed_square(w)
+                raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
+            if wp < 0:
+                p = -p
+            # over the least common denominator, so the integers stay as small as the sums
+            d = den // gcd(den, q) * q
+            num, den = num * (d // den) + p * (d // q), d
+    if not num:
+        return PhasedSurdSum._raw({})
+    return PhasedSurdSum._raw({1: GaussianRational(Fraction(num, den), Fraction(0))})
 
 
 Interpretation = Literal["paper-literal", "same-state"]

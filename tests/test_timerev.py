@@ -260,8 +260,8 @@ class TestFirstSymmetryAudits:
         assert str(info.value) == "flip changed the magnitude: sqrt(1/2) vs sqrt(1/3)"
 
 
-# every pair product of this audit is a perfect square with large prime factors:
-# trial division on each ran past 30 s, and isqrt finds each square at once
+# every pair product of this audit is a flip pair's +-C**2 with large prime factors:
+# trial division on each ran past 30 s, and the flip-pair sum factors nothing
 SQUARE_PRODUCTS_CHILD = """
 from jcouple.coupling import CouplingChain
 from jcouple.numerics import parse_halfint as H
@@ -301,6 +301,25 @@ class TestSecondSymmetry:
     def test_integral_total_rejected(self):
         with pytest.raises(DomainError):
             audit_second_symmetry(_chain(["1/2", "1/2"], [], "1"), H("0"), "same-state")
+
+    def test_paper_literal_closed_form(self):
+        # sum over ms of C(ms; m) * C(-ms; -m) * i^(-2m): each coupling step's flip
+        # phase (-1)^(J_(k-1) + j_k - J_k) times a normalized state's sum of C**2
+        i_powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^0 .. i^3 as (re, im)
+        records = 0
+        for n, tmax in ((2, 4), (3, 4), (4, 2)):
+            for tjs in itertools.product(range(tmax + 1), repeat=n):
+                for partials in coupling._chain_partials(tjs):
+                    if not partials[-1] % 2:
+                        continue
+                    steps = zip(partials, tjs[1:], partials[1:])
+                    sign = (-1) ** (sum(a + t - b for a, t, b in steps) // 2)
+                    for tm, value in overlap_audits(tjs, partials, "paper-literal"):
+                        re, im = i_powers[-tm % 4]
+                        phase = GaussianRational(Fraction(sign * re), Fraction(sign * im))
+                        assert value == PhasedSurdSum({1: phase}), (tjs, partials, tm)
+                        records += 1
+        assert records == 2422
 
     def test_same_state_zero_on_grid(self):
         for js in _js_tuples(2, 2):
@@ -452,24 +471,27 @@ class TestContraction:
                 nonzero += not value.is_zero
         assert contractions > 1000 and nonzero > 0
 
-    def test_non_square_pair_products(self):
-        # 1/2 * 1/3 is no square, so it takes the trial-division fallback
-        bra = {(1,): Fraction(1, 2), (-1,): Fraction(-2, 3), (3,): Fraction(5, 7)}
-        ket = {(1,): Fraction(1, 3), (-1,): Fraction(3, 8), (3,): Fraction(7, 5)}
-        value = timerev._dot(bra, ket)
-        assert value == _dot_reference(bra, ket)
-        assert value == PhasedSurdSum({1: Fraction(1, 2), 6: Fraction(1, 6)})
+    def test_refuses_a_changed_magnitude(self):
+        # 1/2 against 1/3 is no flip pair: the product sqrt(1/6) is no rational
+        text = r"^flip changed the magnitude: sqrt\(1/2\) vs sqrt\(1/3\)$"
+        with pytest.raises(DomainError, match=text):
+            timerev._dot({(1,): Fraction(1, 2)}, {(1,): Fraction(1, 3)})
+        with pytest.raises(DomainError, match="flip changed the magnitude"):
+            timerev._dot({(1,): Fraction(1, 3)}, {(1,): Fraction(-2, 3)})
 
     def test_cancelled_root_is_dropped(self):
-        # sqrt(1/4) - sqrt(1/4) on sqrt(1) cancels; 2 * sqrt(1/2) = sqrt(2) stays
-        bra = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2), (3,): Fraction(2)}
-        ket = {(1,): Fraction(1, 2), (-1,): Fraction(-1, 2), (3,): Fraction(1), (5,): Fraction(1)}
+        # 1/2 - 1/2 cancels; -2/3 stays, on sqrt(1) only; (5,) has no partner in bra
+        bra = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2), (3,): Fraction(2, 3)}
+        ket = {
+            (1,): Fraction(1, 2), (-1,): Fraction(-1, 2), (3,): Fraction(-2, 3), (5,): Fraction(1)
+        }
         value = timerev._dot(bra, ket)
-        assert value == _dot_reference(bra, ket) == PhasedSurdSum({2: Fraction(1)})
-        assert [r for r, _ in value.items()] == [2]
-        assert timerev._dot({(1,): Fraction(1, 3)}, {(1,): Fraction(-1, 3)}) == PhasedSurdSum(
-            {1: Fraction(-1, 3)}
-        )
+        assert value == _dot_reference(bra, ket) == PhasedSurdSum({1: Fraction(-2, 3)})
+        assert [r for r, _ in value.items()] == [1]
+        del bra[(3,)]
+        value = timerev._dot(bra, ket)
+        assert value.is_zero and list(value.items()) == []
+        assert value == _dot_reference(bra, ket)
 
     def test_chain_audits_match_the_per_m_audits(self):
         for chain in self._chains():
