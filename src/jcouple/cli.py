@@ -14,6 +14,12 @@ modules it runs when it is called, so a subcommand loads only those.  The
 output is spliced text, so ``json`` is imported only where arbitrary JSON is
 written or read: regge-audit's json table, couple's chain member and
 classify.
+
+Each subcommand's options are declared once, as data, in ``_COMMANDS``.
+``build_parser`` adds exactly those to argparse, and ``main`` reads a
+well-formed argv straight from the table into the namespace argparse would
+give, so no parser is built for it.  Any other argv goes to the one full
+parser, so help, usage and error texts are argparse's own.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .numerics import (
     DomainError,
@@ -233,39 +239,57 @@ class _Texts:
     __getitem__ = staticmethod(twice_text)
 
 
-def _kepler_json(
-    header: dict, names: list[str] | _Texts, walk: Iterator, groups: dict
-) -> Iterator[str]:
-    """json.dumps of the kepler payload, written in chunks as the walk goes.
+def _level_tail(energy_text: str, paper: int, enum: int) -> str:
+    """A kepler level's json members after "js", and its closing brace."""
+    diverges = "true" if paper != enum else "false"
+    return f', {energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, "diverges": {diverges}}}'
 
-    header's values are integers and strings that need no escaping, so its
-    members are spliced as json.dumps writes them.
+
+def _merged_text(energy_text: str, paper: int, enum: int, tuples: str) -> str:
+    """A merged kepler group's json object; tuples is its members' js texts, joined."""
+    return f'{{{energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, "tuples": [{tuples}]}}'
+
+
+def _grouped_levels(names: list[str], walk: Iterator) -> Iterator[str]:
+    """Each level's json object, filling its merged group as the walk goes.
 
     Each multiset's level text after "js" is spliced after every tuple's "js"
-    text.  groups is {(energy num, energy den): [energy text, js texts in
-    walk order, deg_paper sum, deg_enum sum]}; level_tail in cmd_kepler
-    makes each entry, and renders its energy text, once per distinct energy,
-    and this loop fills it, so each merged group lists its tuples in product
-    order and sums the counts once per tuple.
+    text.  A group is [energy text, js texts in walk order, deg_paper sum,
+    deg_enum sum]; grouped_tail in cmd_kepler makes each, and renders its
+    energy text, once per distinct energy, so each merged group lists its
+    tuples in product order and sums the counts once per tuple.
     """
-    members = [f'"{k}": {v}' if type(v) is int else f'"{k}": "{v}"' for k, v in header.items()]
-    yield "{" + ", ".join(members) + ', "levels": ['
-    sep = ""
     for ts, (tail, group, paper, enum) in walk:
         text = _list_text([names[t] for t in ts])
         group[1].append(text)
         group[2] += paper
         group[3] += enum
-        yield f'{sep}{{"js": {text}{tail}'
+        yield f'{{"js": {text}{tail}'
+
+
+def _merged_groups(groups: dict) -> Iterator[str]:
+    """Each merged group's json object, in ascending energy; groups is {(num, den): group}."""
+    for energy in _ascending(groups):
+        energy_text, texts, paper, enum = groups[energy]
+        yield _merged_text(energy_text, paper, enum, ", ".join(texts))
+
+
+def _kepler_json(header: dict, levels: Iterator[str], merged: Iterator[str]) -> Iterator[str]:
+    """json.dumps of the kepler payload, written in chunks as levels and then merged go.
+
+    header's values are integers and strings that need no escaping, so its
+    members are spliced as json.dumps writes them.
+    """
+    members = [f'"{k}": {v}' if type(v) is int else f'"{k}": "{v}"' for k, v in header.items()]
+    yield "{" + ", ".join(members) + ', "levels": ['
+    sep = ""
+    for text in levels:
+        yield sep + text
         sep = ", "
     yield '], "merged": ['
     sep = ""
-    for energy in _ascending(groups):
-        energy_text, texts, paper, enum = groups[energy]
-        yield (
-            f'{sep}{{{energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, '
-            f'"tuples": [{", ".join(texts)}]}}'
-        )
+    for text in merged:
+        yield sep + text
         sep = ", "
     yield "]}\n"
 
@@ -273,16 +297,24 @@ def _kepler_json(
 def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
 
-    The walk runs on twice integers and calls row_tail or level_tail once per
+    The walk runs on twice integers and calls the tail function once per
     multiset with the energy's reduced num and den and both counts, and
     yields its result with every ordering.  The fields are rendered as
     csv.writer and json.dumps write them (none needs csv quoting), because a
     json.dumps call per multiset costs more than the rest of its work.  The
-    value names are a table at z >= 2; at z=1 each is rendered at its one level.
+    value names are a table at z >= 2; at z=1 each is rendered where it is
+    printed.
     """
-    from .kepler import Statistics, _check_count_digits, _spectrum_walk, kramers_applicability
+    from .kepler import (
+        Statistics,
+        _check_count_digits,
+        _multiset_fields,
+        _spectrum_walk,
+        kramers_applicability,
+    )
 
     statistics = Statistics.BOSON0 if ns.stats == "boson" else Statistics.FERMION_HALF
+    fermion = statistics is Statistics.FERMION_HALF
     j_cut = parse_halfint(ns.jcut)
     # refuses z < 1 in the walk's words, so every refusal still precedes any output
     verdict = kramers_applicability(ns.z, statistics).value
@@ -291,26 +323,39 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     def row_tail(num: int, den: int, paper: int, enum: int) -> str:
         return f",{num},{den},{paper},{enum},{verdict}\n"
 
-    def level_tail(num: int, den: int, paper: int, enum: int) -> tuple:
+    def level_tail(num: int, den: int, paper: int, enum: int) -> str:
+        return _level_tail(_energy_fields(num, den), paper, enum)
+
+    def grouped_tail(num: int, den: int, paper: int, enum: int) -> tuple:
         group = groups.get((num, den))
         if group is None:
             group = groups[num, den] = [_energy_fields(num, den), [], 0, 0]
-        tail = (
-            f', {group[0]}, "deg_paper": {paper}, "deg_enum": {enum}, '
-            f'"diverges": {"true" if paper != enum else "false"}}}'
-        )
-        return tail, group, paper, enum
+        return _level_tail(group[0], paper, enum), group, paper, enum
 
-    walk = _spectrum_walk(ns.z, j_cut, statistics, row_tail if ns.format == "csv" else level_tail)
+    if ns.format == "csv":
+        make = row_tail
+    else:
+        make = grouped_tail if ns.z > 1 else level_tail
+    walk = _spectrum_walk(ns.z, j_cut, statistics, make)
     # both refuse before names is built
-    _check_count_digits(ns.z, j_cut, statistics is Statistics.FERMION_HALF)
+    _check_count_digits(ns.z, j_cut, fermion)
     names = [twice_text(t) for t in range(j_cut.twice + 1)] if ns.z > 1 else _Texts()
     if ns.format == "csv":
         rows = (";".join([names[t] for t in ts]) + tail for ts, tail in walk)
         header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
         return _batched(itertools.chain([header], rows))
     header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
-    return _batched(_kepler_json(header, names, walk, groups))
+    if ns.z > 1:
+        return _batched(_kepler_json(header, _grouped_levels(names, walk), _merged_groups(groups)))
+    # each level is a merged group of its own, and the energy -t^2 / (4 (t+1)^2) falls
+    # strictly as t grows, so the merged section is the levels again in descending t
+    levels = (f'{{"js": ["{names[t]}"]{tail}' for (t,), tail in walk)
+    merged = (
+        _merged_text(_energy_fields(num, den), paper, enum, f'["{names[t]}"]')
+        for t in range(j_cut.twice, -1, -1)
+        for num, den, paper, enum in [_multiset_fields((t,), fermion)]
+    )
+    return _batched(_kepler_json(header, levels, merged))
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +457,148 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # parser
 
+# argparse reads an argument that starts with "-" as an option name unless it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that treats -1/2 and -0.5 as values, not option names."""
 
-    subparsers: dict[str, argparse.ArgumentParser]
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def _add_cg_like(sub: argparse.ArgumentParser) -> None:
-    for flag in ("--j1", "--m1", "--j2", "--m2", "--j", "--m"):
-        sub.add_argument(flag, required=True, metavar="J", help="half-integer, e.g. 3/2")
-    sub.add_argument("--format", choices=["json", "plain"], default="json")
+class _Option:
+    """One argument of a subcommand: build_parser adds it and _walk reads it.
+
+    flag is "--name", or the name of an optional positional; dest is the
+    namespace attribute argparse names after it.  A store_true option is a
+    flag that takes no value.
+    """
+
+    __slots__ = (
+        "flag", "dest", "type", "choices", "default", "required", "store_true", "metavar", "help"
+    )
+
+    def __init__(
+        self,
+        flag: str,
+        *,
+        type: Callable[[str], object] | None = None,
+        choices: tuple[str, ...] | None = None,
+        default: object = None,
+        required: bool = False,
+        store_true: bool = False,
+        metavar: str | None = None,
+        help: str | None = None,
+    ) -> None:
+        self.flag, self.dest = flag, flag.lstrip("-").replace("-", "_")
+        self.type, self.choices, self.default = type, choices, default
+        self.required, self.store_true = required, store_true
+        self.metavar, self.help = metavar, help
+
+
+def _format(*choices: str) -> _Option:
+    """--format, defaulting to its first choice."""
+    return _Option("--format", choices=choices, default=choices[0])
+
+
+def _momenta(*flags: str, help: str | None = None) -> tuple[_Option, ...]:
+    return tuple(_Option(flag, required=True, metavar="J", help=help) for flag in flags)
+
+
+_CG_LIKE = (
+    *_momenta("--j1", "--m1", "--j2", "--m2", "--j", "--m", help="half-integer, e.g. 3/2"),
+    _format("json", "plain"),
+)
+# {name: (help, handler, options)} for every subcommand, in the order of the help text
+_COMMANDS = {
+    "cg": ("one Clebsch-Gordan coefficient, exactly", cmd_coefficient, _CG_LIKE),
+    "threej": ("one Wigner 3j symbol, exactly", cmd_coefficient, _CG_LIKE),
+    "regge-audit": (
+        "audit the 12 Regge orbit transforms",
+        cmd_regge_audit,
+        (
+            *_momenta("--a", "--alpha", "--b", "--beta", "--c", "--gamma"),
+            _format("json", "csv", "plain"),
+        ),
+    ),
+    "couple": (
+        "expand a sequentially coupled state",
+        cmd_couple,
+        (
+            _Option("--js", required=True, help="comma-separated momenta, e.g. 1/2,1/2,1"),
+            _Option("--intermediates", default="", help="comma-separated j12,j123,..."),
+            _Option("--j", required=True, help="total momentum"),
+            _Option("--m", required=True, help="total projection"),
+            _format("json"),
+        ),
+    ),
+    "schemes": (
+        "enumerate binary coupling schemes",
+        cmd_schemes,
+        (
+            _Option("--n", type=int, required=True),
+            _Option("--count-only", default=False, store_true=True),
+            _format("json"),
+        ),
+    ),
+    "diagram": (
+        "DOT diagram of one coupling scheme",
+        cmd_diagram,
+        (
+            _Option("--n", type=int, required=True),
+            _Option("--labels", default="", help="comma-separated edge labels (default 1..n)"),
+            _Option("--scheme", type=int, default=0, help="scheme index (0 = sequential)"),
+            _format("dot"),
+        ),
+    ),
+    "verify": (
+        "audit a proposition over a grid, one JSON line each",
+        cmd_verify,
+        (
+            _Option(
+                "--prop",
+                choices=("univalence", "compat", "first-sym", "second-sym", "kramers"),
+                required=True,
+            ),
+            _Option("--grid", required=True, help="e.g. n=2,jmax=1"),
+            _Option(
+                "--interpretation",
+                choices=("paper-literal", "same-state"),
+                default="paper-literal",
+                help="reading of the second coefficient chain (second-sym only)",
+            ),
+            _format("json"),
+        ),
+    ),
+    "classify": (
+        "boson/fermion classification of a compound",
+        cmd_classify,
+        (
+            _Option(
+                "particle",
+                help='JSON nested array, e.g. "[[-1,-1,-1],-1]" (reads stdin when omitted)',
+            ),
+            _format("json"),
+        ),
+    ),
+    "kepler": (
+        "exact Kepler spectrum and degeneracy audit",
+        cmd_kepler,
+        (
+            _Option("--z", type=int, required=True),
+            _Option("--jcut", required=True, help="largest single-particle j"),
+            _Option("--stats", choices=("boson", "fermion"), required=True),
+            _format("json", "csv"),
+        ),
+    ),
+}
 
 
 def build_parser() -> _Parser:
-    """The top-level parser; its subparsers map each subcommand name to that command's parser."""
+    """The top-level parser, with one subparser per entry of _COMMANDS."""
     parser = _Parser(
         prog="jcouple",
         description="Exact angular-momentum coupling coefficients, scheme "
@@ -440,75 +608,23 @@ def build_parser() -> _Parser:
         "--quiet", action="store_true", help="suppress banners (output carries none)"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("cg", help="one Clebsch-Gordan coefficient, exactly")
-    _add_cg_like(p)
-    p.set_defaults(handler=cmd_coefficient)
-
-    p = subs.add_parser("threej", help="one Wigner 3j symbol, exactly")
-    _add_cg_like(p)
-    p.set_defaults(handler=cmd_coefficient)
-
-    p = subs.add_parser("regge-audit", help="audit the 12 Regge orbit transforms")
-    for flag in ("--a", "--alpha", "--b", "--beta", "--c", "--gamma"):
-        p.add_argument(flag, required=True, metavar="J")
-    p.add_argument("--format", choices=["json", "csv", "plain"], default="json")
-    p.set_defaults(handler=cmd_regge_audit)
-
-    p = subs.add_parser("couple", help="expand a sequentially coupled state")
-    p.add_argument("--js", required=True, help="comma-separated momenta, e.g. 1/2,1/2,1")
-    p.add_argument("--intermediates", default="", help="comma-separated j12,j123,...")
-    p.add_argument("--j", required=True, help="total momentum")
-    p.add_argument("--m", required=True, help="total projection")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(handler=cmd_couple)
-
-    p = subs.add_parser("schemes", help="enumerate binary coupling schemes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(handler=cmd_schemes)
-
-    p = subs.add_parser("diagram", help="DOT diagram of one coupling scheme")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", default="", help="comma-separated edge labels (default 1..n)")
-    p.add_argument("--scheme", type=int, default=0, help="scheme index (0 = sequential)")
-    p.add_argument("--format", choices=["dot"], default="dot")
-    p.set_defaults(handler=cmd_diagram)
-
-    p = subs.add_parser("verify", help="audit a proposition over a grid, one JSON line each")
-    p.add_argument(
-        "--prop",
-        required=True,
-        choices=["univalence", "compat", "first-sym", "second-sym", "kramers"],
-    )
-    p.add_argument("--grid", required=True, help="e.g. n=2,jmax=1")
-    p.add_argument(
-        "--interpretation",
-        choices=["paper-literal", "same-state"],
-        default="paper-literal",
-        help="reading of the second coefficient chain (second-sym only)",
-    )
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(handler=cmd_verify)
-
-    p = subs.add_parser("classify", help="boson/fermion classification of a compound")
-    p.add_argument(
-        "particle",
-        nargs="?",
-        help='JSON nested array, e.g. "[[-1,-1,-1],-1]" (reads stdin when omitted)',
-    )
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(handler=cmd_classify)
-
-    p = subs.add_parser("kepler", help="exact Kepler spectrum and degeneracy audit")
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--jcut", required=True, help="largest single-particle j")
-    p.add_argument("--stats", choices=["boson", "fermion"], required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(handler=cmd_kepler)
-
-    parser.subparsers = dict(subs.choices)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for option in options:
+            kwargs = {"default": option.default, "help": option.help}
+            if option.store_true:
+                kwargs["action"] = "store_true"
+            elif not option.flag.startswith("-"):
+                kwargs["nargs"] = "?"
+            else:
+                kwargs.update(
+                    type=option.type,
+                    choices=option.choices,
+                    required=option.required,
+                    metavar=option.metavar,
+                )
+            sub.add_argument(option.flag, **kwargs)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -518,24 +634,78 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The top-level parse_args, with one walk of an argv led by a subcommand name.
+def _is_value(token: str) -> bool:
+    """Whether argparse reads token as a value rather than as an option name."""
+    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
 
-    The top-level parser would hand everything after the name to that
-    subcommand's parser, so that parser alone parses it, into a namespace
-    that holds the top-level defaults, and the top-level parser reports what
-    it leaves.  Every other argv (empty, led by an option, an unknown or
-    abbreviated name, or "--") goes through the top-level parser, so help,
-    usage and error texts stay its own.
+
+def _walk(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace parse_args gives for a well-formed subcommand argv, else None.
+
+    Well-formed is: a subcommand name, then its optional positional if it
+    has one, then exact "--opt value" pairs and store_true flags, each
+    option at most once, every value converted and checked through the
+    option's type and choices, and every required option given.
     """
-    parser = _shared_parser()
-    sub = parser.subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    ns, extras = sub.parse_known_args(argv[1:], argparse.Namespace(quiet=False, command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, handler, options = command
+    flags = {option.flag: option for option in options}
+    values: dict[str, object] = {}  # by flag
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if token.startswith("--"):
+            option = flags.get(token)
+            if option is None or token in values:
+                return None
+            if option.store_true:
+                values[token] = True
+                i += 1
+                continue
+            if i + 1 == len(argv) or not _is_value(argv[i + 1]):
+                return None
+            value = argv[i + 1]
+            i += 2
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        else:
+            # argparse takes an optional positional directly after the name the same
+            # way in every version; elsewhere it does not
+            option = next((o for o in options if not o.flag.startswith("-")), None)
+            if i > 1 or option is None or not _is_value(token):
+                return None
+            value = token
+            i += 1
+        values[option.flag] = value
+    ns = argparse.Namespace(quiet=False, command=argv[0])
+    for option in options:
+        if option.flag in values:
+            value = values[option.flag]
+        elif option.required:
+            return None
+        else:
+            value = option.default
+        setattr(ns, option.dest, value)
+    ns.handler = handler
     return ns
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with no parser built for a well-formed argv.
+
+    _walk reads a well-formed subcommand argv from _COMMANDS alone; every
+    other argv (help, "=" forms, abbreviations, stray positionals, "--",
+    repeats, bad values, missing options, a top-level option) goes to the
+    one shared parser, so help, usage and error texts are argparse's own.
+    """
+    return _walk(argv) or _shared_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -135,10 +135,14 @@ def _spectrum_walk(
 def _walk(
     z: int, twice_cut: int, fermion: bool, make: Callable[[int, int, int, int], T]
 ) -> Iterator[tuple[tuple[int, ...], T]]:
-    records: dict[tuple[int, ...], T] = {}
     levels = range(twice_cut + 1)
-    # product copies the range into a tuple for the whole walk; zip at z=1 does not
-    for ts in zip(levels) if z == 1 else itertools.product(levels, repeat=z):
+    if z == 1:
+        # each value is a multiset of its own, with one ordering: nothing is kept
+        for t in levels:
+            yield (t,), make(*_multiset_fields((t,), fermion))
+        return
+    records: dict[tuple[int, ...], T] = {}
+    for ts in itertools.product(levels, repeat=z):
         key = tuple(sorted(ts))
         record = records.get(key)
         if record is None:
