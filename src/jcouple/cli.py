@@ -18,13 +18,12 @@ classify.
 Each subcommand's options are declared once, as data, in ``_COMMANDS``.
 ``build_parser`` adds exactly those to argparse, and ``main`` reads a
 well-formed argv straight from the table into the namespace argparse would
-give, so no parser is built for it.  Any other argv goes to the one full
-parser, so help, usage and error texts are argparse's own.
+give, so it loads neither argparse nor a parser.  Any other argv goes to
+the one full parser, so help, usage and error texts are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
@@ -32,6 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .numerics import (
@@ -45,6 +45,8 @@ from .numerics import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .coupling import CouplingChain
 
 
@@ -461,14 +463,6 @@ def cmd_verify(ns: argparse.Namespace) -> Iterator[str]:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that treats -1/2 and -0.5 as values, not option names."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
 class _Option:
     """One argument of a subcommand: build_parser adds it and _walk reads it.
 
@@ -597,8 +591,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
-    """The top-level parser, with one subparser per entry of _COMMANDS."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per entry of _COMMANDS; only it imports argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """ArgumentParser that treats -1/2 and -0.5 as values, not option names."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
     parser = _Parser(
         prog="jcouple",
         description="Exact angular-momentum coupling coefficients, scheme "
@@ -629,7 +632,7 @@ def build_parser() -> _Parser:
 
 
 @functools.cache
-def _shared_parser() -> _Parser:
+def _shared_parser() -> argparse.ArgumentParser:
     """One parser per process: building it costs more than most commands."""
     return build_parser()
 
@@ -639,7 +642,7 @@ def _is_value(token: str) -> bool:
     return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
 
 
-def _walk(argv: Sequence[str]) -> argparse.Namespace | None:
+def _walk(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace parse_args gives for a well-formed subcommand argv, else None.
 
     Well-formed is: a subcommand name, then its optional positional if it
@@ -684,7 +687,7 @@ def _walk(argv: Sequence[str]) -> argparse.Namespace | None:
             value = token
             i += 1
         values[option.flag] = value
-    ns = argparse.Namespace(quiet=False, command=argv[0])
+    ns = SimpleNamespace(quiet=False, command=argv[0])
     for option in options:
         if option.flag in values:
             value = values[option.flag]
@@ -697,7 +700,7 @@ def _walk(argv: Sequence[str]) -> argparse.Namespace | None:
     return ns
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace | SimpleNamespace:
     """build_parser().parse_args(argv), with no parser built for a well-formed argv.
 
     _walk reads a well-formed subcommand argv from _COMMANDS alone; every

@@ -3,13 +3,16 @@
 The antiunitary operator acts by T|j,m> = i^(2m) |j,-m> on a single momentum
 and termwise on product states.  On a coupled state, whose amplitudes are
 real, that action is one flip of every projection tuple and one power of i,
-never a matrix.  `_reversed` is the only code that applies it:
-`apply_time_reversal` returns it on a `StateExpansion`, and both overlap
-audits contract a state with it on the chain's twice-integer amplitudes.
-The projection flip in the first-symmetry audit is an identity between
-coefficients, not T acting on a state.  The audit operations
-return exact values and agree/diverge verdicts instead of asserting the
-claimed identities, since exact evaluation is the whole point.
+never a matrix.  `_reversed` is the only code that applies it, and
+`apply_time_reversal` returns it on a `StateExpansion`.  Both overlap
+audits sum C(ms; m) * C(-ms; m') over ms without building a state: a
+sequentially coupled state is a matrix product state whose bond index is
+the running projection, so `_flip_sums` contracts each chain left to right
+in one pass, for every m at once.  The projection flip in the
+first-symmetry audit is an identity between coefficients, not T acting on
+a state.  The audit operations return exact values and agree/diverge
+verdicts instead of asserting the claimed identities, since exact
+evaluation is the whole point.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from typing import Iterator, Literal, Optional, Sequence
 from .coupling import (
     CouplingChain,
     StateExpansion,
-    _amplitudes,
     _chain_signed_square,
-    _state_amplitudes,
+    _twices,
     generalized_coupling_coefficient,
 )
 from .numerics import (
@@ -36,10 +38,11 @@ from .numerics import (
     Surd,
     _Value,
     check_momenta,
+    check_momentum_pair,
     short_repr,
     short_str,
 )
-from .wigner import _totals
+from .wigner import _cg_signed_square, _totals
 
 
 def t_squared_sign(j: HalfInt) -> int:
@@ -147,36 +150,42 @@ def first_symmetry_audits(
         yield tms, total, ratio, verdict
 
 
-def _dot(
-    bra: dict[tuple[int, ...], Fraction], ket: dict[tuple[int, ...], Fraction]
-) -> PhasedSurdSum:
-    """Sum over ms of bra(ms) * ket(ms), on {twice ms: signed square} amplitudes.
+def _flip_sums(tjs: Sequence[int], partials: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """{twice M: (num, den)} of f_n(M), the sum over ms of total M of C(ms; M) * C(-ms; -M).
 
-    Both are real, so that is the overlap <bra|ket>; tuples missing from ket
-    add 0, and neither holds a zero, as the walk yields none.  Every pair
-    the audits match is a projection-flip pair, C(ms; m) against
-    C(-ms; -m), and the flip keeps the magnitude: a pair of signed squares
-    v and w with |v| = |w| is the rational v * sign(w), so the sum lands on
-    sqrt(1) only.  A pair whose magnitudes differ raises.
+    One left-to-right pass over the running projection, from f_1(M) = 1:
+
+      f_k(M) = sum over m of f_(k-1)(M - m) * C_k(M - m, m -> M) * C_k(-(M - m), -m -> -M)
+
+    Each step reads both values v, w of its flip pair.  The flip keeps the
+    magnitude, so v * w is the rational v * sign(w), and a changed magnitude
+    raises.  Each f_k(M) is one integer pair over the least common
+    denominator.  tjs and partials are as coupling._twices gives them, unchecked.
     """
-    num, den = 0, 1
-    for tms, v in bra.items():
-        w = ket.get(tms)
-        if w is not None:
-            # both in lowest terms, so equal magnitudes are equal integers
-            p, q = v.as_integer_ratio()
-            wp, wq = w.as_integer_ratio()
-            if wq != q or abs(wp) != abs(p):
-                lhs, rhs = Surd.from_signed_square(v), Surd.from_signed_square(w)
-                raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
-            if wp < 0:
-                p = -p
-            # over the least common denominator, so the integers stay as small as the sums
-            d = den // gcd(den, q) * q
-            num, den = num * (d // den) + p * (d // q), d
-    if not num:
-        return PhasedSurdSum._raw({})
-    return PhasedSurdSum._raw({1: GaussianRational(Fraction(num, den), Fraction(0))})
+    sums = {t: (1, 1) for t in range(-tjs[0], tjs[0] + 1, 2)}
+    for ta, tb, tc in zip(partials, tjs[1:], partials[1:]):
+        level = {}
+        for t_next in range(-tc, tc + 1, 2):
+            num, den = 0, 1
+            for t_run in range(max(-ta, t_next - tb), min(ta, t_next + tb) + 1, 2):
+                a, b = sums[t_run]
+                v = _cg_signed_square(ta, t_run, tb, t_next - t_run, tc, t_next)
+                w = _cg_signed_square(ta, -t_run, tb, t_run - t_next, tc, -t_next)
+                if not (a and v and w):
+                    continue
+                # both in lowest terms, so equal magnitudes are equal integers
+                p, q = v.as_integer_ratio()
+                wp, wq = w.as_integer_ratio()
+                if wq != q or abs(wp) != abs(p):
+                    lhs, rhs = Surd.from_signed_square(v), Surd.from_signed_square(w)
+                    raise DomainError(f"flip changed the magnitude: {lhs} vs {rhs}")
+                p, q = (a * p if wp > 0 else -a * p), b * q
+                d = den // gcd(den, q) * q
+                num, den = num * (d // den) + p * (d // q), d
+            g = gcd(num, den)
+            level[t_next] = num // g, den // g
+        sums = level
+    return sums
 
 
 Interpretation = Literal["paper-literal", "same-state"]
@@ -190,18 +199,7 @@ def _check_second_symmetry(ttotal: int, interpretation: Interpretation) -> None:
         raise DomainError(f"total momentum {short_str(HalfInt(ttotal))} is not half-odd")
 
 
-def _second_symmetry(ket: dict, partner: dict, ttotal: int, tpartner: int) -> PhasedSurdSum:
-    """The second-symmetry sum of the tables at twice total m ttotal and at its partner's."""
-    # C(-ms; m') is the reversed partner's amplitude at ms; the audit keeps
-    # its own phase i^(-2m), not T's
-    _, flipped = _reversed(partner, tpartner)
-    return _dot(ket, flipped).times_i_pow(-ttotal)
-
-
-def _kramers(psi: dict, ttotal: int) -> PhasedSurdSum:
-    """<psi|T psi> of the table psi at twice total m ttotal."""
-    k, tpsi = _reversed(psi, ttotal)
-    return _dot(psi, tpsi).times_i_pow(k)
+Kind = Literal["kramers", "paper-literal", "same-state"]
 
 
 def audit_second_symmetry(
@@ -216,10 +214,8 @@ def audit_second_symmetry(
     the value is reported as computed.
     """
     _check_second_symmetry(chain.total_j.twice, interpretation)
-    partner_m = -total_m if interpretation == "paper-literal" else total_m
-    ket = dict(_state_amplitudes(chain, total_m))
-    partner = ket if partner_m == total_m else dict(_state_amplitudes(chain, partner_m))
-    return _second_symmetry(ket, partner, total_m.twice, partner_m.twice)
+    check_momentum_pair(chain.total_j, total_m, "total (j, m)")
+    return dict(overlap_audits(*_twices(chain), interpretation))[total_m.twice]
 
 
 def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
@@ -230,13 +226,12 @@ def kramers_overlap(chain: CouplingChain, total_m: HalfInt) -> PhasedSurdSum:
     the coupled univalence is -1 (half-odd total j) the supports of psi and
     T psi are disjoint projection tuples and the sum is exactly empty.
     """
-    return _kramers(dict(_state_amplitudes(chain, total_m)), total_m.twice)
+    check_momentum_pair(chain.total_j, total_m, "total (j, m)")
+    return dict(overlap_audits(*_twices(chain), "kramers"))[total_m.twice]
 
 
 def overlap_audits(
-    tjs: Sequence[int],
-    partials: Sequence[int],
-    kind: Literal["kramers", "paper-literal", "same-state"],
+    tjs: Sequence[int], partials: Sequence[int], kind: Kind
 ) -> Iterator[tuple[int, PhasedSurdSum]]:
     """(twice m, value) at every projection m of a chain's total j, ascending.
 
@@ -244,24 +239,21 @@ def overlap_audits(
     as coupling._twices gives them; only kind and the total's parity are
     checked here.  The value equals kramers_overlap(chain, m) for kind
     "kramers", and audit_second_symmetry(chain, m, kind) for an
-    interpretation.  The amplitude table at each m is walked at most once,
-    so paper-literal, which pairs the tables at m and -m, builds each table
-    once, not twice.
+    interpretation.  The chain is contracted once, for every m: the sum of
+    C(ms; m) * C(-ms; m') is f_n(m) when the partner's total m' is -m, the
+    total of -ms, and empty otherwise.  m' is -m for paper-literal and m
+    for same-state and Kramers, so only paper-literal and Kramers at m = 0
+    read f_n.  The phase is T's i^(2m) for Kramers and the audit's own
+    i^(-2m) for an interpretation.
     """
     top = partials[-1]
     if kind != "kramers":
         _check_second_symmetry(top, kind)
-    tables: dict[int, dict[tuple[int, ...], Fraction]] = {}  # twice m -> the walk's table
-
-    def table(ttotal: int) -> dict[tuple[int, ...], Fraction]:
-        out = tables.get(ttotal)
-        if out is None:
-            out = tables[ttotal] = dict(_amplitudes(tjs, partials, ttotal))
-        return out
-
+    sums = _flip_sums(tjs, partials)
     for tm in range(-top, top + 1, 2):
-        if kind == "kramers":
-            yield tm, _kramers(table(tm), tm)
-        else:
-            tpartner = -tm if kind == "paper-literal" else tm
-            yield tm, _second_symmetry(table(tm), table(tpartner), tm, tpartner)
+        num, den = sums[tm] if kind == "paper-literal" or not tm else (0, 1)
+        terms = {}
+        if num:
+            value = GaussianRational(Fraction(num, den), Fraction(0))
+            terms[1] = value.times_i_pow(tm if kind == "kramers" else -tm)
+        yield tm, PhasedSurdSum._raw(terms)

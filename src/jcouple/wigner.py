@@ -96,8 +96,6 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) 
     # Racah sum over k; every factorial argument below is a plain integer
     kmin = max(0, -(tj - tj2 + tm1) // 2, -(tj - tj1 - tm2) // 2)
     kmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    if kmin > kmax:
-        return Fraction(0)
     total = Fraction(0)
     for k in range(kmin, kmax + 1):
         den = (

@@ -161,6 +161,17 @@ def brute_force_totals(js) -> set[int]:
     return totals
 
 
+def flip_phase(tjs, partials) -> int:
+    """(-1)^(sum j - J) of a chain of twice momenta tjs and twice partial totals partials.
+
+    The product over the coupling steps of each step's projection-flip sign
+    (-1)^(J_(k-1) + j_k - J_k), which telescopes.  By column orthonormality
+    every paper-literal second-symmetry record is this phase times i^(-2m),
+    and the Kramers overlap of an integral total at m = 0 is this phase.
+    """
+    return -1 if (sum(tjs) - partials[-1]) % 4 else 1
+
+
 # ---------------------------------------------------------------------------
 # exact operators on products of momenta
 

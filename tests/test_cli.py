@@ -873,6 +873,28 @@ class TestVerifyStreams:
         assert elapsed < 2.0
 
 
+class TestKramersCliff:
+    """The kramers grid n=5, jmax=3/2: 50,016 records, each the empty sum.
+
+    Walking every state's amplitude table and dotting it with its reversal
+    took about 5 s as a subprocess; one contraction per chain takes about 1 s
+    (2-vCPU x86 VM, Python 3.11).
+    """
+
+    def test_finishes_quickly(self):
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "jcouple", "verify", "--prop", "kramers", "--grid"]
+            + ["n=5,jmax=3/2"],
+            capture_output=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert run.returncode == 0 and run.stderr == b""
+        assert run.stdout.count(b"\n") == 50016
+        assert elapsed < 3.0
+
+
 class TestVerifyCommand:
     def test_first_sym_contains_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--prop", "first-sym", "--grid", "n=2,jmax=1")

@@ -5,6 +5,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import flip_phase
 
 from jcouple import coupling, timerev
 from jcouple.cli import main
@@ -271,6 +274,23 @@ print(repr(audit_second_symmetry(chain, H("-31/2"), "paper-literal")))
 """
 
 
+def _phase_sum(sign, k):
+    """sign * i^k on sqrt(1)."""
+    re, im = [(1, 0), (0, 1), (-1, 0), (0, -1)][k % 4]  # i^0 .. i^3 as (re, im)
+    return PhasedSurdSum({1: GaussianRational(Fraction(sign * re), Fraction(sign * im))})
+
+
+@st.composite
+def _long_chains(draw):
+    """(twice momenta, twice partial totals) of a chain of 1 to 12 momenta, each j <= 3/2."""
+    tjs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    partials = [tjs[0]]
+    for t in tjs[1:]:
+        top = partials[-1]
+        partials.append(draw(st.sampled_from(range(abs(top - t), top + t + 1, 2))))
+    return tjs, partials
+
+
 class TestSecondSymmetry:
     def test_large_square_pair_products_finish(self):
         run = subprocess.run(
@@ -303,23 +323,36 @@ class TestSecondSymmetry:
             audit_second_symmetry(_chain(["1/2", "1/2"], [], "1"), H("0"), "same-state")
 
     def test_paper_literal_closed_form(self):
-        # sum over ms of C(ms; m) * C(-ms; -m) * i^(-2m): each coupling step's flip
-        # phase (-1)^(J_(k-1) + j_k - J_k) times a normalized state's sum of C**2
-        i_powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^0 .. i^3 as (re, im)
+        # sum over ms of C(ms; m) * C(-ms; -m) * i^(-2m): the chain's flip phase
+        # times a normalized state's sum of C**2
         records = 0
         for n, tmax in ((2, 4), (3, 4), (4, 2)):
             for tjs in itertools.product(range(tmax + 1), repeat=n):
                 for partials in coupling._chain_partials(tjs):
                     if not partials[-1] % 2:
                         continue
-                    steps = zip(partials, tjs[1:], partials[1:])
-                    sign = (-1) ** (sum(a + t - b for a, t, b in steps) // 2)
+                    sign = flip_phase(tjs, partials)
                     for tm, value in overlap_audits(tjs, partials, "paper-literal"):
-                        re, im = i_powers[-tm % 4]
-                        phase = GaussianRational(Fraction(sign * re), Fraction(sign * im))
-                        assert value == PhasedSurdSum({1: phase}), (tjs, partials, tm)
+                        assert value == _phase_sum(sign, -tm), (tjs, partials, tm)
                         records += 1
         assert records == 2422
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_long_chains())
+    def test_every_overlap_in_closed_form(self, twices):
+        # past any table's reach: 2j <= 3 up to n = 12
+        tjs, partials = twices
+        sign = flip_phase(tjs, partials)
+        if partials[-1] % 2:
+            for tm, value in overlap_audits(tjs, partials, "paper-literal"):
+                assert value == _phase_sum(sign, -tm), tm
+            for kind in ("kramers", "same-state"):
+                assert all(value.is_zero for _, value in overlap_audits(tjs, partials, kind))
+        else:
+            chain = CouplingChain(
+                tuple(map(HalfInt, tjs)), tuple(map(HalfInt, partials[1:-1])), HalfInt(partials[-1])
+            )
+            assert kramers_overlap(chain, HalfInt(0)) == _phase_sum(sign, 0)
 
     def test_same_state_zero_on_grid(self):
         for js in _js_tuples(2, 2):
@@ -438,7 +471,7 @@ def _dot_reference(bra, ket):
 
 
 class TestContraction:
-    """The integer contraction against the per-pair surd sum, and the per-chain audits.
+    """The one-pass flip contraction against the per-pair surd sum over walked tables.
 
     Every chain with n <= 3 and every j <= 3/2 (n = 1 included), at every m:
     the contractions of both interpretations and of Kramers, and the
@@ -450,48 +483,53 @@ class TestContraction:
             for js in _js_tuples(n, 3):
                 yield from [CouplingChain(js, (), js[0])] if n == 1 else enumerate_chains(js)
 
-    def _pairs(self, chain):
-        """(bra, ket) of every contraction the audits of the chain make."""
-        tjs, partials = coupling._twices(chain)
-        top = chain.total_j.twice
-        tables = {
-            tm: dict(coupling._amplitudes(tjs, partials, tm)) for tm in range(-top, top + 1, 2)
-        }
-        for tm, table in tables.items():
-            for tpartner in (tm, -tm):  # same-state and Kramers, paper-literal
-                yield table, timerev._reversed(tables[tpartner], tpartner)[1]
-
     def test_matches_per_pair_surd_sum(self):
-        contractions = nonzero = 0
+        # each record against the walked table at m dotted with the reversed partner's
+        records = nonzero = 0
         for chain in self._chains():
-            for bra, ket in self._pairs(chain):
-                value = timerev._dot(bra, ket)
-                assert value == _dot_reference(bra, ket)
-                contractions += 1
-                nonzero += not value.is_zero
-        assert contractions > 1000 and nonzero > 0
+            tjs, partials = coupling._twices(chain)
+            top = chain.total_j.twice
+            tables = {
+                tm: dict(coupling._amplitudes(tjs, partials, tm)) for tm in range(-top, top + 1, 2)
+            }
+            kinds = ("kramers", "paper-literal", "same-state") if top % 2 else ("kramers",)
+            for kind in kinds:
+                for tm, value in overlap_audits(tjs, partials, kind):
+                    tpartner = -tm if kind == "paper-literal" else tm
+                    flipped = timerev._reversed(tables[tpartner], tpartner)[1]
+                    phase = tm if kind == "kramers" else -tm
+                    assert value == _dot_reference(tables[tm], flipped).times_i_pow(phase)
+                    records += 1
+                    nonzero += not value.is_zero
+        assert records > 1000 and nonzero > 0
 
-    def test_refuses_a_changed_magnitude(self):
+    def test_refuses_a_changed_magnitude(self, monkeypatch):
         # 1/2 against 1/3 is no flip pair: the product sqrt(1/6) is no rational
+        monkeypatch.setattr(
+            timerev, "_cg_signed_square", lambda *a: Fraction(1, 2 if a[5] < 0 else 3)
+        )
         text = r"^flip changed the magnitude: sqrt\(1/2\) vs sqrt\(1/3\)$"
         with pytest.raises(DomainError, match=text):
-            timerev._dot({(1,): Fraction(1, 2)}, {(1,): Fraction(1, 3)})
+            kramers_overlap(_chain(["1/2", "1/2"], [], "1"), H("0"))
+        monkeypatch.setattr(
+            timerev, "_cg_signed_square", lambda *a: Fraction(1 if a[5] < 0 else -2, 3)
+        )
         with pytest.raises(DomainError, match="flip changed the magnitude"):
-            timerev._dot({(1,): Fraction(1, 3)}, {(1,): Fraction(-2, 3)})
+            audit_second_symmetry(_chain(["1", "1/2"], [], "1/2"), H("1/2"), "paper-literal")
 
-    def test_cancelled_root_is_dropped(self):
-        # 1/2 - 1/2 cancels; -2/3 stays, on sqrt(1) only; (5,) has no partner in bra
-        bra = {(1,): Fraction(1, 2), (-1,): Fraction(1, 2), (3,): Fraction(2, 3)}
-        ket = {
-            (1,): Fraction(1, 2), (-1,): Fraction(-1, 2), (3,): Fraction(-2, 3), (5,): Fraction(1)
-        }
-        value = timerev._dot(bra, ket)
-        assert value == _dot_reference(bra, ket) == PhasedSurdSum({1: Fraction(-2, 3)})
+    def test_cancelled_root_is_dropped(self, monkeypatch):
+        # at m = +-1/2 of 1 + 1/2 -> 1/2 the two flip pairs are 1/3 * -1 and 1/3 * +1
+        flipped = (2, 0, 1, -1, 1, -1)
+        monkeypatch.setattr(
+            timerev, "_cg_signed_square", lambda *a: Fraction(-1 if a == flipped else 1, 3)
+        )
+        records = list(overlap_audits([2, 1], [2, 1], "paper-literal"))
+        assert [tm for tm, _ in records] == [-1, 1]
+        for _, value in records:
+            assert value.is_zero and list(value.items()) == []
+        monkeypatch.undo()
+        value = audit_second_symmetry(_chain(["1", "1/2"], [], "1/2"), H("1/2"), "paper-literal")
         assert [r for r, _ in value.items()] == [1]
-        del bra[(3,)]
-        value = timerev._dot(bra, ket)
-        assert value.is_zero and list(value.items()) == []
-        assert value == _dot_reference(bra, ket)
 
     def test_chain_audits_match_the_per_m_audits(self):
         for chain in self._chains():
@@ -519,17 +557,23 @@ class TestContraction:
             ["--prop", "kramers", "--grid", "n=3,jmax=3/2"],
         ],
     )
-    def test_verify_walks_each_table_once(self, monkeypatch, capsys, argv):
+    def test_verify_contracts_each_chain_once(self, monkeypatch, capsys, argv):
         calls = Counter()
-        walk = timerev._amplitudes
+        contract = timerev._flip_sums
 
-        def counting(tjs, partials, ttotal):
-            calls[tuple(tjs), tuple(partials), ttotal] += 1
-            return walk(tjs, partials, ttotal)
+        def counting(tjs, partials):
+            calls[tuple(tjs), tuple(partials)] += 1
+            return contract(tjs, partials)
 
-        monkeypatch.setattr(timerev, "_amplitudes", counting)
+        monkeypatch.setattr(timerev, "_flip_sums", counting)
         assert main(["verify", *argv]) == 0
         records = capsys.readouterr().out.count("\n")
-        # one table per record, each (chain, m) of a half-odd total once
-        assert len(calls) == records > 0
-        assert set(calls.values()) == {1}
+        # every chain of the grid with a half-odd total, once, and a record per m
+        chains = {
+            (tjs, partials)
+            for tjs in itertools.product(range(4), repeat=3)
+            for partials in coupling._chain_partials(tjs)
+            if partials[-1] % 2
+        }
+        assert set(calls) == chains and set(calls.values()) == {1}
+        assert records == sum(partials[-1] + 1 for _, partials in chains)
