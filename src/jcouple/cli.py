@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import sys
@@ -208,10 +209,12 @@ def cmd_classify(ns: argparse.Namespace) -> list[str]:
     return [json.dumps({"fermion": is_fermion(particle_from_json(obj))}) + "\n"]
 
 
-def _batched(texts: Iterator[str]) -> Iterator[str]:
-    """Joins up to 1024 consecutive texts per chunk, so each write carries many."""
-    while chunk := "".join(itertools.islice(texts, 1024)):
-        yield chunk
+def _batched(texts: Iterator[str], sep: str = "", size: int = 1024) -> Iterator[str]:
+    """Up to size texts per chunk, joined by sep as are the chunks, so each write carries many."""
+    lead = ""
+    while chunk := sep.join(itertools.islice(texts, size)):
+        yield lead + chunk
+        lead = sep
 
 
 def _energy_fields(num: int, den: int) -> str:
@@ -235,38 +238,31 @@ def _ascending(energies: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(approx, key=lambda e: (approx[e], Fraction(*e)))
 
 
-class _Texts:
-    """kepler's names at z=1, where each value is one level, printed once: text on demand."""
-
-    __getitem__ = staticmethod(twice_text)
-
-
 def _level_tail(energy_text: str, paper: int, enum: int) -> str:
     """A kepler level's json members after "js", and its closing brace."""
     diverges = "true" if paper != enum else "false"
     return f', {energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, "diverges": {diverges}}}'
 
 
+def _grouped_tail(groups: dict, num: int, den: int, paper: int, enum: int, key: tuple) -> tuple:
+    """A multiset's level tail at z >= 2, and the js text list of its group in groups,
+    {(num, den): [energy text, js texts, deg_paper sum, deg_enum sum]}: each
+    energy text is rendered once, and the sums take the counts times the orderings."""
+    group = groups.get((num, den))
+    if group is None:
+        group = groups[num, den] = [_energy_fields(num, den), [], 0, 0]
+    orderings = run = 1  # z! over the multiplicities' factorials, one sorted value at a time
+    for i in range(1, len(key)):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        orderings = orderings * (i + 1) // run
+    group[2] += paper * orderings
+    group[3] += enum * orderings
+    return _level_tail(group[0], paper, enum), group[1]
+
+
 def _merged_text(energy_text: str, paper: int, enum: int, tuples: str) -> str:
     """A merged kepler group's json object; tuples is its members' js texts, joined."""
     return f'{{{energy_text}, "deg_paper": {paper}, "deg_enum": {enum}, "tuples": [{tuples}]}}'
-
-
-def _grouped_levels(names: list[str], walk: Iterator) -> Iterator[str]:
-    """Each level's json object, filling its merged group as the walk goes.
-
-    Each multiset's level text after "js" is spliced after every tuple's "js"
-    text.  A group is [energy text, js texts in walk order, deg_paper sum,
-    deg_enum sum]; grouped_tail in cmd_kepler makes each, and renders its
-    energy text, once per distinct energy, so each merged group lists its
-    tuples in product order and sums the counts once per tuple.
-    """
-    for ts, (tail, group, paper, enum) in walk:
-        text = _list_text([names[t] for t in ts])
-        group[1].append(text)
-        group[2] += paper
-        group[3] += enum
-        yield f'{{"js": {text}{tail}'
 
 
 def _merged_groups(groups: dict) -> Iterator[str]:
@@ -276,36 +272,26 @@ def _merged_groups(groups: dict) -> Iterator[str]:
         yield _merged_text(energy_text, paper, enum, ", ".join(texts))
 
 
-def _kepler_json(header: dict, levels: Iterator[str], merged: Iterator[str]) -> Iterator[str]:
-    """json.dumps of the kepler payload, written in chunks as levels and then merged go.
-
-    header's values are integers and strings that need no escaping, so its
-    members are spliced as json.dumps writes them.
-    """
-    members = [f'"{k}": {v}' if type(v) is int else f'"{k}": "{v}"' for k, v in header.items()]
-    yield "{" + ", ".join(members) + ', "levels": ['
-    sep = ""
-    for text in levels:
-        yield sep + text
-        sep = ", "
-    yield '], "merged": ['
-    sep = ""
-    for text in merged:
-        yield sep + text
-        sep = ", "
-    yield "]}\n"
+def _json_rows(walk: Iterator, names: list[str], z: int) -> Iterator[str]:
+    """Each prefix's row of json levels at z >= 2 as one text; each js text joins its group."""
+    lasts = [f'"{name}"]' for name in names]
+    prefixes = itertools.product("[", *[[f'"{name}", ' for name in names]] * (z - 1))
+    for prefix, (_, row) in zip(map("".join, prefixes), walk):
+        levels = []
+        for last, (tail, group) in zip(lasts, row):
+            group.append(prefix + last)
+            levels.append(group[-1] + tail)
+        yield '{"js": ' + ', {"js": '.join(levels)
 
 
 def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     """The spectrum as csv rows or one json payload; each multiset's text is rendered once.
 
-    The walk runs on twice integers and calls the tail function once per
-    multiset with the energy's reduced num and den and both counts, and
-    yields its result with every ordering.  The fields are rendered as
-    csv.writer and json.dumps write them (none needs csv quoting), because a
-    json.dumps call per multiset costs more than the rest of its work.  The
-    value names are a table at z >= 2; at z=1 each is rendered where it is
-    printed.
+    The walk makes each multiset's tail once, then yields each prefix's row
+    of tails.  The fields are rendered as csv.writer and json.dumps write
+    them (none needs csv quoting): a json.dumps call per multiset costs more
+    than the rest of its work.  At z >= 2 a row is one join after its
+    prefix's text; at z=1 each name is rendered as the walk reaches it.
     """
     from .kepler import (
         Statistics,
@@ -321,43 +307,43 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     # refuses z < 1 in the walk's words, so every refusal still precedes any output
     verdict = kramers_applicability(ns.z, statistics).value
     groups: dict[tuple[int, int], list] = {}
-
-    def row_tail(num: int, den: int, paper: int, enum: int) -> str:
-        return f",{num},{den},{paper},{enum},{verdict}\n"
-
-    def level_tail(num: int, den: int, paper: int, enum: int) -> str:
-        return _level_tail(_energy_fields(num, den), paper, enum)
-
-    def grouped_tail(num: int, den: int, paper: int, enum: int) -> tuple:
-        group = groups.get((num, den))
-        if group is None:
-            group = groups[num, den] = [_energy_fields(num, den), [], 0, 0]
-        return _level_tail(group[0], paper, enum), group, paper, enum
-
     if ns.format == "csv":
-        make = row_tail
+        make = f",{{}},{{}},{{}},{{}},{verdict}\n".format  # drops the multiset
+    elif ns.z > 1:
+        make = functools.partial(_grouped_tail, groups)
     else:
-        make = grouped_tail if ns.z > 1 else level_tail
+        make = lambda num, den, paper, enum, _: _level_tail(_energy_fields(num, den), paper, enum)
     walk = _spectrum_walk(ns.z, j_cut, statistics, make)
-    # both refuse before names is built
+    # both refuse before any name is rendered
     _check_count_digits(ns.z, j_cut, fermion)
-    names = [twice_text(t) for t in range(j_cut.twice + 1)] if ns.z > 1 else _Texts()
-    if ns.format == "csv":
-        rows = (";".join([names[t] for t in ts]) + tail for ts, tail in walk)
-        header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
-        return _batched(itertools.chain([header], rows))
-    header = {"z": ns.z, "jcut": str(j_cut), "statistics": statistics.value, "kramers": verdict}
+    names = map(twice_text, range(j_cut.twice + 1))
+    size = 1024  # texts per write: levels at z=1, rows of 2 jcut + 1 levels at z >= 2
     if ns.z > 1:
-        return _batched(_kepler_json(header, _grouped_levels(names, walk), _merged_groups(groups)))
-    # each level is a merged group of its own, and the energy -t^2 / (4 (t+1)^2) falls
-    # strictly as t grows, so the merged section is the levels again in descending t
-    levels = (f'{{"js": ["{names[t]}"]{tail}' for (t,), tail in walk)
-    merged = (
-        _merged_text(_energy_fields(num, den), paper, enum, f'["{names[t]}"]')
-        for t in range(j_cut.twice, -1, -1)
-        for num, den, paper, enum in [_multiset_fields((t,), fermion)]
-    )
-    return _batched(_kepler_json(header, levels, merged))
+        names = list(names)
+        size = max(1, size // len(names))
+    if ns.format == "csv":
+        if ns.z == 1:
+            rows = map(operator.add, names, next(walk)[1])
+        else:
+            prefixes = map("".join, itertools.product([n + ";" for n in names], repeat=ns.z - 1))
+            rows = (p + p.join(map(operator.add, names, r)) for p, (_, r) in zip(prefixes, walk))
+        header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
+        return _batched(itertools.chain([header], rows), size=size)
+    if ns.z > 1:
+        levels, merged = _json_rows(walk, names, ns.z), _merged_groups(groups)
+    else:
+        levels = map('{{"js": ["{}"]{}'.format, names, next(walk)[1])
+        # each level is a merged group of its own, and the energy -t^2 / (4 (t+1)^2) falls
+        # strictly as t grows, so the merged section is the levels again in descending t
+        merged = (
+            _merged_text(_energy_fields(num, den), paper, enum, f'["{twice_text(t)}"]')
+            for t in range(j_cut.twice, -1, -1)
+            for num, den, paper, enum in [_multiset_fields((t,), fermion)]
+        )
+    head = f'{{"z": {ns.z}, "jcut": "{j_cut!s}", "statistics": "{statistics.value}", '
+    head += f'"kramers": "{verdict}", "levels": ['
+    chunks = [[head], _batched(levels, ", ", size), ['], "merged": ['], _batched(merged, ", ")]
+    return _batched(itertools.chain(*chunks, ["]}\n"]), size=5)  # a short payload is one write
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .numerics import (
     DomainError,
@@ -111,18 +111,16 @@ class MergedKeplerLevel(_Value):
 
 
 def _spectrum_walk(
-    z: int, j_cut: HalfInt, statistics: Statistics, make: Callable[[int, int, int, int], T]
-) -> Iterator[tuple[tuple[int, ...], T]]:
+    z: int, j_cut: HalfInt, statistics: Statistics, make: Callable[..., T]
+) -> Iterator[tuple[tuple[int, ...], Iterable[T]]]:
     """Every tuple of twice values, all at most 2 j_cut, in lexicographic order, with its record.
 
-    The energy and both counts are symmetric in the tuple, so they are
-    evaluated once per sorted tuple: ``make(energy_num, energy_den,
-    deg_paper, deg_enum)`` runs once per such multiset, with the energy as a
-    reduced fraction, and its result, which must not be None, is yielded
-    with every ordering.  It is kept only for a multiset of two or more
-    distinct values: one of a single value has just one ordering, so at
-    z=1 nothing is kept.  The arguments and the guard are checked here,
-    before the first tuple.
+    The energy and both counts are symmetric in the tuple: ``make(num,
+    den, deg_paper, deg_enum, key)`` runs once per multiset, key its sorted
+    tuple, in order of the keys, with the reduced energy num / den.  Then
+    each prefix of z - 1 values is yielded in order with its row, the
+    records of each last value.  At z=1 nothing is kept.  The arguments and
+    the guard are checked here, before the first row.
     """
     if z < 1:
         raise DomainError("need at least one particle")
@@ -133,23 +131,36 @@ def _spectrum_walk(
 
 
 def _walk(
-    z: int, twice_cut: int, fermion: bool, make: Callable[[int, int, int, int], T]
-) -> Iterator[tuple[tuple[int, ...], T]]:
+    z: int, twice_cut: int, fermion: bool, make: Callable[..., T]
+) -> Iterator[tuple[tuple[int, ...], Iterable[T]]]:
     levels = range(twice_cut + 1)
-    if z == 1:
-        # each value is a multiset of its own, with one ordering: nothing is kept
-        for t in levels:
-            yield (t,), make(*_multiset_fields((t,), fermion))
+    # at z=1 the multisets stream: itertools keeps its own copy of its pool
+    multisets = itertools.combinations_with_replacement(levels, z) if z > 1 else zip(levels)
+    records = (make(*_multiset_fields(key, fermion), key) for key in multisets)
+    if z == 1 or not twice_cut:  # one row, made as it is read
+        yield (0,) * (z - 1), records
         return
-    records: dict[tuple[int, ...], T] = {}
-    for ts in itertools.product(levels, repeat=z):
-        key = tuple(sorted(ts))
-        record = records.get(key)
-        if record is None:
-            record = make(*_multiset_fields(key, fermion))
-            if key[0] != key[-1]:  # a multiset of one value has only this ordering
-                records[key] = record
-        yield ts, record
+    # phase 1: a node per multiset of k < z values lists, for each t, the node of
+    # the multiset with t added, or at k = z - 1 its record.  From the largest
+    # value m on, its entries are the next new nodes or records, in order of the
+    # sorted tuples; below m, the entry at t is the parent's entry at t, at m.
+    root: list = []
+    nodes = [(root, root, 0)]  # (node, parent, largest value)
+    for _ in range(z - 1):
+        children = []
+        for node, parent, m in nodes:
+            fresh = [[] for _ in levels[m:]]
+            node += [sibling[m] for sibling in parent[:m]] + fresh
+            children += zip(fresh, itertools.repeat(node), levels[m:])
+        nodes = children
+    for node, parent, m in nodes:
+        node += [sibling[m] for sibling in parent[:m]]
+        node += itertools.islice(records, len(levels) - m)
+    # phase 2: the rows, the nodes of z - 1 values, in product order of their prefixes
+    rows = [root]
+    for _ in range(z - 1):
+        rows = list(itertools.chain.from_iterable(rows))
+    yield from zip(itertools.product(levels, repeat=z - 1), rows)
 
 
 def _multiset_fields(key: tuple[int, ...], fermion: bool) -> tuple[int, int, int, int]:
@@ -207,11 +218,13 @@ def spectrum(z: int, j_cut: HalfInt, statistics: Statistics) -> list[KeplerLevel
     energies are built here.
     """
     walk = _spectrum_walk(
-        z, j_cut, statistics, lambda num, den, *counts: (Fraction(num, den), *counts)
+        z, j_cut, statistics, lambda num, den, paper, enum, _: (Fraction(num, den), paper, enum)
     )
     values = [HalfInt(t) for t in range(j_cut.twice + 1)]
     return [
-        KeplerLevel(tuple([values[t] for t in ts]), *fields, statistics) for ts, fields in walk
+        KeplerLevel(tuple([values[t] for t in (*prefix, last)]), *fields, statistics)
+        for prefix, row in walk
+        for last, fields in enumerate(row)
     ]
 
 

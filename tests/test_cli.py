@@ -546,6 +546,23 @@ class TestKeplerCliff:
         assert peak - floor < max_mb * 1024
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize(
+        "fmt, max_s, max_mb", [("json", 10, 320), ("csv", 5, 64)], ids=["json", "csv"]
+    )
+    def test_largest_pair_cutoff(self, fmt, max_s, max_mb):
+        # jcut=353 is the largest the guard admits at z=2: 499,849 levels over
+        # 250,986 multisets.  Making a record per ordering as the walk met it
+        # peaked about 302 MB above the floor in 3.4 s as json and 53 MB in
+        # 1.1 s as csv; one record per multiset and a join per prefix row, about
+        # 269 MB in 2.3 s and 31 MB in 0.8 s (Python 3.11); the bounds admit both
+        start = time.perf_counter()
+        argv = ["kepler", "--z", "2", "--jcut", "353", "--stats", "boson", "--format", fmt]
+        peak = _peak_kib(*argv)
+        elapsed = time.perf_counter() - start
+        assert elapsed < max_s
+        assert peak - _peak_kib() < max_mb * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_one_record_per_multiset(self):
         # at z=1 each of the 100,000 levels is its own multiset, so the walk's
         # memo holds one csv row tail per level; with HalfInt values and
@@ -1018,8 +1035,7 @@ class TestKeplerCommand:
         energies = [(-1, 2), (-big, big + 1), (-(big + 1), big + 2)]
         assert energies[1][0] / energies[1][1] == energies[2][0] / energies[2][1]
         groups = {e: [cli._energy_fields(*e), [], 0, 0] for e in energies}
-        text = "".join(cli._kepler_json({"z": 2}, iter([]), cli._merged_groups(groups)))
-        merged = json.loads(text)["merged"]
+        merged = json.loads("[" + ", ".join(cli._merged_groups(groups)) + "]")
         assert [(int(m["energy"]["num"]), int(m["energy"]["den"])) for m in merged] == [
             (-(big + 1), big + 2),
             (-big, big + 1),

@@ -18,7 +18,10 @@ returned its text for main to write, and the univalence grid at n=6,
 jmax=1/2 and the compat grid at n=5, jmax=3/2 before the totals of n
 momenta were read from one closed-form ladder, and the kepler spectra at
 z=1, jcut=7/2 (fermion json, boson csv) before z=1 stopped building a
-table of value names; any change to what these commands print, byte
+table of value names, and the kepler spectra at z=3, jcut=5/2 (fermion,
+both formats), z=4, jcut=3/2 (boson csv) and z=2, jcut=5 (boson json)
+before the walk evaluated every multiset in a first pass and rendered
+each prefix's row of orderings at once; any change to what these commands print, byte
 for byte, fails here.  Every error case also checks that nothing reached
 stdout.  The unsafe-label and total-projection error
 messages pin the wording of the DOT label check and of the shared (j, m)
@@ -228,6 +231,22 @@ GOLDEN = [
         ("kepler", "--z", "1", "--jcut", "7/2", "--stats", "boson", "--format", "csv"),
         "a038e4a1abcdd71bd2a2f9f0dc61b62667a262f7d9aecff44686aad92add35a4",
     ),
+    (
+        ("kepler", "--z", "3", "--jcut", "5/2", "--stats", "fermion"),
+        "be6193a5ca748909c6f1dc9aec9bbe02de73a60d32f73dda8d764468040384da",
+    ),
+    (
+        ("kepler", "--z", "3", "--jcut", "5/2", "--stats", "fermion", "--format", "csv"),
+        "aaf56560db0cfe38d73d547f2a30e05a8fc824b3d684d504494545c9d81bbb8f",
+    ),
+    (
+        ("kepler", "--z", "4", "--jcut", "3/2", "--stats", "boson", "--format", "csv"),
+        "91800fda6670f9f8d1ac079624416bbd55bb0c61f7c40a51e66ae05a81d5a806",
+    ),
+    (
+        ("kepler", "--z", "2", "--jcut", "5", "--stats", "boson"),
+        "da4c6d7fbafe36f9d5eb764c1987b38dba658d0dc77b24f29dd7e6bea6adfde1",
+    ),
 ]
 
 
@@ -253,6 +272,8 @@ IDS = [
     "verify-univalence-grid-empty-chunk", "schemes-n8",
     "verify-univalence-n6-jmax1/2", "verify-compat-n5-jmax3/2",
     "kepler-z1-fermion-json", "kepler-z1-boson-csv",
+    "kepler-z3-fermion-json", "kepler-z3-fermion-csv", "kepler-z4-boson-csv",
+    "kepler-z2-jcut5-boson-json",
 ]
 
 GUARD = "exceeds the enumeration guard ({}); raise the guard explicitly to proceed"

@@ -169,8 +169,14 @@ AGREEMENT = pytest.mark.parametrize(
         for z in (1, 2, 3)
         for twice_cut in range(6)
         for statistics in Statistics
-    ],
+    ]
+    + [(4, twice_cut, statistics) for twice_cut in range(4) for statistics in Statistics],
 )
+
+
+def walked_tuples(walk):
+    """The walk's (tuple, record) pairs: each prefix followed by every last value of its row."""
+    return [(prefix + (t,), record) for prefix, row in walk for t, record in enumerate(row)]
 
 
 class TestStreamedSpectrum:
@@ -231,8 +237,9 @@ class TestStreamedSpectrum:
 
 
 class TestOncePerMultiset:
-    """The walk calls make once per multiset of j values and hands its result
-    to every ordering: C(2 jcut + z, z) calls over (2 jcut + 1)^z tuples."""
+    """The walk calls make once per multiset of j values, with its sorted
+    tuple, and hands its result to every ordering: C(2 jcut + z, z) calls
+    over (2 jcut + 1)^z tuples, yielded in lexicographic order."""
 
     @pytest.mark.parametrize(
         "z, twice_cut, statistics",
@@ -247,17 +254,19 @@ class TestOncePerMultiset:
         j_cut = HalfInt(twice_cut)
         made = []
 
-        def make(num, den, paper, enum):
-            made.append((num, den, paper, enum))
+        def make(num, den, paper, enum, key):
+            made.append((num, den, paper, enum, key))
             return made[-1]
 
-        walk = list(_spectrum_walk(z, j_cut, statistics, make))
+        walk = walked_tuples(_spectrum_walk(z, j_cut, statistics, make))
         assert len(made) == math.comb(twice_cut + z, z)
         assert len(walk) == (twice_cut + 1) ** z
+        assert [js for js, _ in walk] == list(itertools.product(range(twice_cut + 1), repeat=z))
         by_multiset = {}
         for js, record in walk:
             assert by_multiset.setdefault(tuple(sorted(js)), record) is record
         assert len(by_multiset) == len(made)
+        assert all(record[4] == key for key, record in by_multiset.items())
         assert spectrum(z, j_cut, statistics) == reference_spectrum(z, j_cut, statistics)
 
     def test_one_particle_walk_keeps_no_record(self):
@@ -270,8 +279,9 @@ class TestOncePerMultiset:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            for _ in _spectrum_walk(1, HalfInt(99_999), Statistics.BOSON0, lambda *f: f):
-                pass
+            for _, row in _spectrum_walk(1, HalfInt(99_999), Statistics.BOSON0, lambda *f: f):
+                for _ in row:
+                    pass
             walk = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -282,8 +292,9 @@ class TestOncePerMultiset:
 class TestIntegerWalk:
     """The walk's integer energy and counts against the HalfInt/Fraction reference
     functions, on every multiset with z <= 4 and 2 jcut <= 7: the energy is the
-    reduced fraction of the summed energy_level values, and the counts are
-    degeneracy_paper and degeneracy_enumerated of the momenta."""
+    reduced fraction of the summed energy_level values, the counts are
+    degeneracy_paper and degeneracy_enumerated of the momenta, and the key is
+    the sorted tuple."""
 
     @pytest.mark.parametrize(
         "z, twice_cut, statistics",
@@ -297,7 +308,7 @@ class TestIntegerWalk:
     def test_fields_match_reference(self, z, twice_cut, statistics):
         walk = _spectrum_walk(z, HalfInt(twice_cut), statistics, lambda *fields: fields)
         checked = set()
-        for ts, (num, den, paper, enum) in walk:
+        for ts, (num, den, paper, enum, multiset) in walked_tuples(walk):
             key = tuple(sorted(ts))
             if key in checked:
                 continue
@@ -307,6 +318,7 @@ class TestIntegerWalk:
             assert den > 0 and math.gcd(num, den) == 1
             assert paper == degeneracy_paper(js, statistics)
             assert enum == degeneracy_enumerated(js, statistics)
+            assert multiset == key
         assert len(checked) == math.comb(twice_cut + z, z)
 
 
