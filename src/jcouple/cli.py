@@ -272,11 +272,22 @@ def _merged_groups(groups: dict) -> Iterator[str]:
         yield _merged_text(energy_text, paper, enum, ", ".join(texts))
 
 
+def _prefixes(head: str, texts: list[str], z: int) -> Iterator[str]:
+    """head and each (z - 1)-tuple of texts, joined, in product order.
+
+    At jcut=0 there is one text and one prefix, made by repetition:
+    itertools.product would keep z - 1 pools of it.
+    """
+    if len(texts) == 1:
+        return iter([head + texts[0] * (z - 1)])
+    return map("".join, itertools.product([head], *[texts] * (z - 1)))
+
+
 def _json_rows(walk: Iterator, names: list[str], z: int) -> Iterator[str]:
     """Each prefix's row of json levels at z >= 2 as one text; each js text joins its group."""
     lasts = [f'"{name}"]' for name in names]
-    prefixes = itertools.product("[", *[[f'"{name}", ' for name in names]] * (z - 1))
-    for prefix, (_, row) in zip(map("".join, prefixes), walk):
+    prefixes = _prefixes("[", [f'"{name}", ' for name in names], z)
+    for prefix, (_, row) in zip(prefixes, walk):
         levels = []
         for last, (tail, group) in zip(lasts, row):
             group.append(prefix + last)
@@ -296,7 +307,7 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
     from .kepler import (
         Statistics,
         _check_count_digits,
-        _multiset_fields,
+        _row,
         _spectrum_walk,
         kramers_applicability,
     )
@@ -325,7 +336,7 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
         if ns.z == 1:
             rows = map(operator.add, names, next(walk)[1])
         else:
-            prefixes = map("".join, itertools.product([n + ";" for n in names], repeat=ns.z - 1))
+            prefixes = _prefixes("", [n + ";" for n in names], ns.z)
             rows = (p + p.join(map(operator.add, names, r)) for p, (_, r) in zip(prefixes, walk))
         header = "j_tuple,energy_num,energy_den,deg_paper,deg_enum,kramers\n"
         return _batched(itertools.chain([header], rows), size=size)
@@ -335,10 +346,13 @@ def cmd_kepler(ns: argparse.Namespace) -> Iterator[str]:
         levels = map('{{"js": ["{}"]{}'.format, names, next(walk)[1])
         # each level is a merged group of its own, and the energy -t^2 / (4 (t+1)^2) falls
         # strictly as t grows, so the merged section is the levels again in descending t
-        merged = (
-            _merged_text(_energy_fields(num, den), paper, enum, f'["{twice_text(t)}"]')
-            for t in range(j_cut.twice, -1, -1)
-            for num, den, paper, enum in [_multiset_fields((t,), fermion)]
+        merged = _row(
+            1,
+            range(j_cut.twice, -1, -1),
+            fermion,
+            lambda num, den, paper, enum, key: _merged_text(
+                _energy_fields(num, den), paper, enum, f'["{twice_text(key[0])}"]'
+            ),
         )
     head = f'{{"z": {ns.z}, "jcut": "{j_cut!s}", "statistics": "{statistics.value}", '
     head += f'"kramers": "{verdict}", "levels": ['

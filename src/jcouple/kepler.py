@@ -134,28 +134,14 @@ def _walk(
     z: int, twice_cut: int, fermion: bool, make: Callable[..., T]
 ) -> Iterator[tuple[tuple[int, ...], Iterable[T]]]:
     levels = range(twice_cut + 1)
-    # at z=1 the multisets stream: itertools keeps its own copy of its pool
-    multisets = itertools.combinations_with_replacement(levels, z) if z > 1 else zip(levels)
-    records = (make(*_multiset_fields(key, fermion), key) for key in multisets)
     if z == 1 or not twice_cut:  # one row, made as it is read
-        yield (0,) * (z - 1), records
+        yield (0,) * (z - 1), _row(z, levels, fermion, make)
         return
     # phase 1: a node per multiset of k < z values lists, for each t, the node of
-    # the multiset with t added, or at k = z - 1 its record.  From the largest
-    # value m on, its entries are the next new nodes or records, in order of the
-    # sorted tuples; below m, the entry at t is the parent's entry at t, at m.
+    # the multiset with t added, or at k = z - 1 its record
     root: list = []
-    nodes = [(root, root, 0)]  # (node, parent, largest value)
-    for _ in range(z - 1):
-        children = []
-        for node, parent, m in nodes:
-            fresh = [[] for _ in levels[m:]]
-            node += [sibling[m] for sibling in parent[:m]] + fresh
-            children += zip(fresh, itertools.repeat(node), levels[m:])
-        nodes = children
-    for node, parent, m in nodes:
-        node += [sibling[m] for sibling in parent[:m]]
-        node += itertools.islice(records, len(levels) - m)
+    for node, record in _fold([(root, root, 0, 0, 1, 1, ())], z, levels, fermion, make):
+        node.append(record)
     # phase 2: the rows, the nodes of z - 1 values, in product order of their prefixes
     rows = [root]
     for _ in range(z - 1):
@@ -163,31 +149,52 @@ def _walk(
     yield from zip(itertools.product(levels, repeat=z - 1), rows)
 
 
-def _multiset_fields(key: tuple[int, ...], fermion: bool) -> tuple[int, int, int, int]:
-    """(energy num, energy den, deg_paper, deg_enum) of a multiset of twice values.
+def _row(z: int, values: Sequence[int], fermion: bool, make: Callable[..., T]) -> Iterator[T]:
+    """The records of z - 1 zeros and each of the twice values, made as they are read.
 
-    The energy is the sum of -t^2 / (4 (t+1)^2) over the twice values t,
-    accumulated over the lcm of the denominators, so the denominator stays
-    bounded by the distinct values and not by their number, and reduced
-    with one gcd at the end.  j=0 adds no energy and a factor 1 to both
-    counts, so it is skipped.  ``energy_level``, ``degeneracy_paper`` and
+    This is the walk's one row at z=1 or jcut=0, so no node keeps them.
+    """
+    node = (None, None, 0, 0, 1, 1, (0,) * (z - 1))
+    return (record for _, record in _fold([node], z, values, fermion, make))
+
+
+def _fold(
+    nodes: list[tuple], z: int, values: Sequence[int], fermion: bool, make: Callable[..., T]
+) -> Iterator[tuple[list, T]]:
+    """Grow the nodes' multisets, all of one size, to z values; yield each record with its node.
+
+    A node is (list, parent's list, largest value m, energy num, den,
+    prod(2j+1), sorted key).  The energy is the sum of -t^2 / (4 (t+1)^2)
+    over the multiset's twice values t, unreduced over the lcm of their
+    denominators, so the denominator stays bounded by the distinct values
+    and not by their number.  Each child adds one value t >= m of values in
+    one exact integer step, and a record then costs one gcd and the make
+    call, so records come in order of the sorted keys.  A node's list takes
+    its children's lists from m on, and below m, the entry at t is the
+    parent's entry at t, at m; the caller appends the records to their
+    nodes.  ``energy_level``, ``degeneracy_paper`` and
     ``degeneracy_enumerated`` are the reference these values are tested
     against.
     """
-    num, den, prod = 0, 1, 1  # prod is prod(2j+1)
-    for t in key:
-        if t:
-            n = t + 1
-            d = 4 * n * n
-            g = math.gcd(den, d)
-            num = num * (d // g) - t * t * (den // g)
-            den = den // g * d
-            prod *= n
-    g = math.gcd(num, den)
-    if fermion:
-        z = len(key)
-        return num // g, den // g, 2 * prod + 2 * z, prod * prod << z
-    return num // g, den // g, 2 * prod, prod * prod
+    extra, shift = (2 * z, z) if fermion else (0, 0)
+    for k in range(len(nodes[0][6]) + 1, z + 1):  # the size of the multisets made
+        children = []
+        for node, parent, m, num, den, prod, key in nodes:
+            if m:  # nothing lies below m = 0, where _row's node has no lists
+                node += [sibling[m] for sibling in parent[:m]]
+            for t in values[m:]:
+                n = t + 1
+                d = 4 * n * n
+                g = math.gcd(den, d)
+                num_t, den_t, prod_t = num * (d // g) - t * t * (den // g), den // g * d, prod * n
+                if k < z:
+                    node.append([])
+                    children.append((node[-1], node, t, num_t, den_t, prod_t, key + (t,)))
+                else:
+                    g = math.gcd(num_t, den_t)
+                    paper, enum = 2 * prod_t + extra, prod_t * prod_t << shift
+                    yield node, make(num_t // g, den_t // g, paper, enum, key + (t,))
+        nodes = children
 
 
 def _check_count_digits(z: int, j_cut: HalfInt, fermion: bool) -> None:
@@ -195,7 +202,7 @@ def _check_count_digits(z: int, j_cut: HalfInt, fermion: bool) -> None:
 
     Every count kepler prints, per level or summed over a merged group, is at
     most that count summed over all levels.  With n = 2 jcut + 1 the sums of
-    _multiset_fields' counts are 2 (1 + ... + n)^z, plus 2z n^z for fermions,
+    the walk's counts are 2 (1 + ... + n)^z, plus 2z n^z for fermions,
     and (1^2 + ... + n^2)^z, times 2^z for fermions.  At the default limit of
     4300 digits the first refusal is the fermion count 2^z at jcut=0 and z=14285.
     """

@@ -175,8 +175,15 @@ def parse_halfint(text: str) -> HalfInt:
 
     Integers, p/q and decimals are accepted if the value has denominator 1 or 2
     in lowest terms.  Exponent notation is refused up front: ``Fraction`` would
-    first build 10**exponent, which never ends for "1e1000000000".
+    first build 10**exponent, which never ends for "1e1000000000".  A plain
+    ASCII integer p or p/2, signed or not, of at most 18 digits is read
+    directly; any other text takes the ``Fraction`` route.
     """
+    half = text.endswith("/2")
+    p = text[:-2] if half else text
+    digits = p[1:] if p[:1] in ("-", "+") else p
+    if len(digits) <= 18 and digits.isascii() and digits.isdigit():
+        return HalfInt(int(p) if half else 2 * int(p))
     if re.search(r"[eE][-+]?\d", text):
         raise DomainError(f"exponent notation is not accepted: {short_repr(text)}")
     try:

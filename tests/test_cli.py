@@ -592,6 +592,17 @@ class TestKeplerCliff:
         argv = ["kepler", "--z", "1", "--jcut", "199999/2", "--stats", "fermion"]
         assert _peak_kib(*argv) - floor < 4 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("fmt, max_mb", [("json", 48), ("csv", 32)], ids=["json", "csv"])
+    def test_one_prefix_at_jcut_zero(self, fmt, max_mb):
+        # one level of 10^6 zeros has one prefix of 999,999 names; building it with
+        # itertools.product over 999,999 one-name pools peaked about 109 MB above
+        # the floor as json and 48 MB as csv, by repetition of the one name about
+        # 33 and 23 MB (Python 3.11)
+        floor = _peak_kib()
+        argv = ["kepler", "--z", "1000000", "--jcut", "0", "--stats", "boson", "--format", fmt]
+        assert _peak_kib(*argv) - floor < max_mb * 1024
+
     def test_a_million_particles_at_jcut_zero(self):
         # one level of 10^6 zeros; an energy denominator multiplied by 4 (t+1)^2
         # once per particle ran past 30 s, against about 2.6 s for Fraction sums

@@ -239,7 +239,10 @@ class TestStreamedSpectrum:
 class TestOncePerMultiset:
     """The walk calls make once per multiset of j values, with its sorted
     tuple, and hands its result to every ordering: C(2 jcut + z, z) calls
-    over (2 jcut + 1)^z tuples, yielded in lexicographic order."""
+    over (2 jcut + 1)^z tuples, yielded in lexicographic order, and the keys
+    come in the order of itertools.combinations_with_replacement, also at
+    z = 5 and 6, where each record is five and six one-value steps below the
+    tree's root."""
 
     @pytest.mark.parametrize(
         "z, twice_cut, statistics",
@@ -247,6 +250,12 @@ class TestOncePerMultiset:
             (z, twice_cut, statistics)
             for z in (1, 2, 3, 4)
             for twice_cut in range(5)
+            for statistics in Statistics
+        ]
+        + [
+            (z, twice_cut, statistics)
+            for z in (5, 6)
+            for twice_cut in range(4)
             for statistics in Statistics
         ],
     )
@@ -260,6 +269,8 @@ class TestOncePerMultiset:
 
         walk = walked_tuples(_spectrum_walk(z, j_cut, statistics, make))
         assert len(made) == math.comb(twice_cut + z, z)
+        keys = itertools.combinations_with_replacement(range(twice_cut + 1), z)
+        assert [record[4] for record in made] == list(keys)
         assert len(walk) == (twice_cut + 1) ** z
         assert [js for js, _ in walk] == list(itertools.product(range(twice_cut + 1), repeat=z))
         by_multiset = {}
@@ -291,10 +302,11 @@ class TestOncePerMultiset:
 
 class TestIntegerWalk:
     """The walk's integer energy and counts against the HalfInt/Fraction reference
-    functions, on every multiset with z <= 4 and 2 jcut <= 7: the energy is the
-    reduced fraction of the summed energy_level values, the counts are
-    degeneracy_paper and degeneracy_enumerated of the momenta, and the key is
-    the sorted tuple."""
+    functions, on every multiset with z <= 4 and 2 jcut <= 7, and with z = 5, 6
+    and 2 jcut <= 3, where a record's energy and counts are carried through
+    five and six one-value steps: the energy is the reduced fraction of the
+    summed energy_level values, the counts are degeneracy_paper and
+    degeneracy_enumerated of the momenta, and the key is the sorted tuple."""
 
     @pytest.mark.parametrize(
         "z, twice_cut, statistics",
@@ -302,6 +314,12 @@ class TestIntegerWalk:
             (z, twice_cut, statistics)
             for z in (1, 2, 3, 4)
             for twice_cut in range(8)
+            for statistics in Statistics
+        ]
+        + [
+            (z, twice_cut, statistics)
+            for z in (5, 6)
+            for twice_cut in range(4)
             for statistics in Statistics
         ],
     )

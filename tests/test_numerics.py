@@ -1,9 +1,10 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcouple.coupling import (
@@ -19,6 +20,7 @@ from jcouple.kepler import (
     degeneracy_enumerated,
     degeneracy_paper,
     energy_level,
+    spectrum,
 )
 from jcouple.numerics import (
     DomainError,
@@ -32,6 +34,7 @@ from jcouple.numerics import (
     halfint_range,
     parse_halfint,
     projection_range,
+    short_repr,
     squarefree_decomposition,
 )
 from jcouple.timerev import (
@@ -56,6 +59,30 @@ def _unchecked_chain(js, total_j):
     object.__setattr__(chain, "intermediates", ())
     object.__setattr__(chain, "total_j", total_j)
     return chain
+
+
+class TestEmptyInputGuards:
+    """Each guard that refuses too few momenta, particles or matrix entries, with its message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CouplingChain((), (), ONE), "a chain needs at least one momentum"),
+            (lambda: enumerate_chains((ONE,)), "chain enumeration needs at least two momenta"),
+            (lambda: degeneracy_paper((), Statistics.BOSON0), "need at least one momentum"),
+            (
+                lambda: degeneracy_enumerated((), Statistics.FERMION_HALF),
+                "need at least one momentum",
+            ),
+            (lambda: spectrum(0, ONE, Statistics.BOSON0), "need at least one particle"),
+            (lambda: RSymbol(((1, 1, 1), (1, 1, 1))), "R-symbol needs a 3x3 matrix"),
+        ],
+        ids=["chain", "enumerate_chains", "paper", "enumerated", "spectrum", "rsymbol"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestOneNonnegativityRule:
@@ -277,6 +304,68 @@ class TestParseHalfInt:
         assert str(HalfInt(4)) == "2"
         assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(-1)) == "-1/2"
+
+
+def _fraction_route(text):
+    """parse_halfint as it was before its fast path: every text through Fraction."""
+    if re.search(r"[eE][-+]?\d", text):
+        raise DomainError(f"exponent notation is not accepted: {short_repr(text)}")
+    try:
+        q = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):
+            raise DomainError(f"number out of range, too many digits: {short_repr(text)}") from exc
+        raise DomainError(f"cannot parse half-integer from {short_repr(text)}") from exc
+    if q.denominator not in (1, 2):
+        raise DomainError(
+            f"{short_repr(text)} is not in N/2 (denominator {short_repr(q.denominator)})"
+        )
+    return HalfInt(q.numerator * (2 // q.denominator))
+
+
+def _parsed(parse, text):
+    """parse(text)'s twice value, or the message it refuses text with."""
+    try:
+        return parse(text).twice
+    except DomainError as exc:
+        return str(exc)
+
+
+# ASCII digits, and digits Fraction reads but the fast path leaves to it:
+# Arabic-Indic three, Devanagari one, fullwidth seven
+_DIGITS = st.sampled_from("0123456789") | st.sampled_from("\u0663\u0967\uff17")
+
+
+@st.composite
+def _number_texts(draw):
+    """A sign, leading zeros, digits (up to 18, 19 or 5000 of them), a tail and spaces."""
+    digits = draw(st.sampled_from(["", "0", "00"])) + draw(st.text(_DIGITS, max_size=6))
+    digits += draw(st.sampled_from(["", "7" * 12, "1" * 17, "2" * 18, "3" * 19, "9" * 5000]))
+    sign = draw(st.sampled_from(["", "-", "+", "--", "+-"]))
+    tail = draw(st.sampled_from(["", "/2", "/02", "/4", "/", "/1", "/2/2", ".5", "e1", "_0"]))
+    lead, trail = draw(st.lists(st.sampled_from(["", " ", "\t", "\u00a0"]), min_size=2, max_size=2))
+    return lead + sign + digits + tail + trail
+
+
+class TestParseFastPath:
+    """A plain ASCII integer or p/2 of at most 18 digits is read directly; the
+    values and every refusal's message are those of the Fraction route."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_number_texts())
+    @example("4/2")
+    @example("-0")
+    @example("+007/2")
+    @example("1" * 18)
+    @example("-" + "9" * 18 + "/2")
+    @example("1" * 19)
+    @example("1" * 19 + "/2")
+    @example("9" * 5000)
+    @example("\u0663/2")
+    @example(" 3/2")
+    @example("1/02")
+    def test_matches_the_fraction_route(self, text):
+        assert _parsed(parse_halfint, text) == _parsed(_fraction_route, text)
 
 
 class TestHalfIntClosure:
